@@ -24,7 +24,7 @@ use fairness_stats::mc::{run_monte_carlo, McConfig};
 use std::fmt;
 use std::fmt::Write as _;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Why a scenario batch could not run (or finish).
 ///
@@ -274,7 +274,8 @@ fn run_system(
 /// Determinism: every ensemble seed derives from the spec's semantic
 /// content (via the sweep-cache key of the constructed protocol), so the
 /// outcome of each scenario is independent of `--jobs`, scheduling, and
-/// whichever other scenarios run in the same process.
+/// whichever other scenarios run in the same process. Its
+/// [`ProgressEvent::Scenario`] events are emitted in index order.
 ///
 /// # Errors
 /// Returns the first [`ScenarioError`] across the batch, or
@@ -292,6 +293,11 @@ pub fn run_scenarios(
     if ctx.is_cancelled() {
         return Err(ScenarioError::Cancelled);
     }
+    // `scenario` events leave in index order, each once every lower index
+    // has finished, so the stream is the same at any `--jobs`: (next index
+    // to emit, finished events waiting for it).
+    let unsent: Mutex<(usize, Vec<Option<ProgressEvent>>)> =
+        Mutex::new((0, vec![None; resolved.len()]));
     let outcomes = ctx.pool.par_map(resolved.len(), |i| {
         // Cancellation is observed between scenarios, never mid-ensemble:
         // a finished point is always a valid cache entry.
@@ -310,11 +316,18 @@ pub fn run_scenarios(
             (true, Some((kind, horizon, salt))) => Some(run_system(ctx, r, kind, horizon, salt)),
             _ => None,
         };
-        ctx.emit(ProgressEvent::Scenario {
+        let mut guard = unsent.lock().expect("scenario event lock");
+        let (next, finished) = &mut *guard;
+        finished[i] = Some(ProgressEvent::Scenario {
             index: i,
             name: specs[i].name.clone(),
             fingerprint: specs[i].fingerprint(),
         });
+        while let Some(event) = finished.get_mut(*next).and_then(Option::take) {
+            ctx.emit(event);
+            *next += 1;
+        }
+        drop(guard);
         Some(ScenarioOutcome {
             label: r.protocol.label(),
             summary,

@@ -85,6 +85,7 @@ pub enum ProgressEvent {
     /// A worker started executing the batch.
     Started,
     /// One scenario's ensemble finished (index into the submitted batch).
+    /// Emitted in index order, once every lower index has finished.
     Scenario {
         /// Position in the submitted batch.
         index: usize,
@@ -730,7 +731,11 @@ impl SweepService {
     /// session (progress events, cancellation checks), stores the report
     /// or error, and updates the service counters.
     pub fn execute(&self, job: &Arc<SweepJob>) {
+        // Each path updates the metrics before publishing the terminal
+        // event, so a client that has read the event sees this job in
+        // `/metrics`.
         if job.is_cancelled() {
+            self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
             job.finish(
                 JobPhase::Cancelled,
                 None,
@@ -738,7 +743,6 @@ impl SweepService {
                 0.0,
                 ProgressEvent::Cancelled,
             );
-            self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
             self.finish_inflight();
             return;
         }
@@ -753,8 +757,12 @@ impl SweepService {
         let started = Instant::now();
         let result = scenario_report(&session, &job.specs);
         let wall = started.elapsed().as_secs_f64();
+        let mut walls = self.metrics.target_walls.lock().expect("metrics lock");
+        walls.push((format!("job:{:016x}", job.fingerprint), wall));
+        drop(walls);
         match result {
             Ok(report) => {
+                self.metrics.completed.fetch_add(1, Ordering::Relaxed);
                 job.finish(
                     JobPhase::Done,
                     Some(report),
@@ -764,9 +772,9 @@ impl SweepService {
                         scenarios: job.specs.len(),
                     },
                 );
-                self.metrics.completed.fetch_add(1, Ordering::Relaxed);
             }
             Err(ScenarioError::Cancelled) => {
+                self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
                 job.finish(
                     JobPhase::Cancelled,
                     None,
@@ -774,20 +782,16 @@ impl SweepService {
                     wall,
                     ProgressEvent::Cancelled,
                 );
-                self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
             }
             Err(error) => {
                 let event = ProgressEvent::Failed {
                     code: error.code(),
                     message: error.to_string(),
                 };
-                job.finish(JobPhase::Failed, None, Some(error), wall, event);
                 self.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                job.finish(JobPhase::Failed, None, Some(error), wall, event);
             }
         }
-        let mut walls = self.metrics.target_walls.lock().expect("metrics lock");
-        walls.push((format!("job:{:016x}", job.fingerprint), wall));
-        drop(walls);
         self.finish_inflight();
     }
 
@@ -1035,7 +1039,7 @@ mod tests {
         assert_eq!(next, events.len());
         assert_eq!(events[0], ProgressEvent::Queued { scenarios: 2 });
         assert_eq!(events[1], ProgressEvent::Started);
-        // jobs: 1 in tiny_opts → scenario events complete in index order.
+        // Scenario events are emitted in index order.
         assert!(matches!(
             events[2],
             ProgressEvent::Scenario { index: 0, .. }

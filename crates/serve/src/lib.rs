@@ -23,6 +23,19 @@
 //! The daemon is built on `std::net` alone: the offline dependency
 //! policy (see the workspace README) rules out hyper/axum, and the
 //! HTTP/1.1 subset in [`http`] is all it needs.
+//!
+//! The acceptor blocks in `accept` and hands each connection to a handler
+//! thread at once. [`Server::shutdown`] (and so `POST /admin/drain`)
+//! wakes it by connecting to the listener's own port, over loopback when
+//! bound to an unspecified address. The binary's SIGTERM/SIGINT handler
+//! restarts an interrupted `accept`, so a stop watcher thread evaluates
+//! [`Server::run`]'s `external_stop` and calls `shutdown` for it.
+//!
+//! At most 64 connection handlers are alive at once. A connection
+//! beyond that is answered `503` with code `overloaded` and closed, and
+//! counted as `fairness_http_requests_total{endpoint="overloaded"}`.
+//! Every accepted connection has 10 s read and write timeouts, so a
+//! client that stops sending or reading frees its handler.
 
 pub mod http;
 
@@ -31,16 +44,23 @@ use fairness_bench::ReproOptions;
 use fairness_core::scenario::text::parse_scenarios;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use http::{read_request, write_response, write_stream_head, ParseError, Request};
 
-/// How long the accept loop sleeps when no connection is pending before
-/// re-checking the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// Most connection handlers alive at once; a connection accepted beyond
+/// it is answered `503 overloaded` and closed.
+const MAX_CONNECTIONS: usize = 64;
+/// Read and write timeout of every accepted connection.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long [`Server::shutdown`] waits for its wake-up connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+/// How often the stop watcher evaluates `run`'s `external_stop`.
+const STOP_POLL: Duration = Duration::from_millis(50);
 /// Granularity of the event-stream wait (bounds how late a terminal
 /// event can be noticed, not how early).
 const STREAM_POLL: Duration = Duration::from_millis(250);
@@ -75,7 +95,6 @@ impl Server {
         queue_capacity: usize,
     ) -> io::Result<Arc<Self>> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Arc::new(Self {
             service: SweepService::with_queue_capacity(opts, queue_capacity),
             listener,
@@ -101,19 +120,37 @@ impl Server {
     /// Requests shutdown: the accept loop stops taking connections,
     /// queued jobs finish ([`SweepService::drain`]), then [`run`](Self::run)
     /// returns.
+    ///
+    /// The acceptor is blocked in `accept`, so this connects to the
+    /// listener's own port (loopback for an unspecified bind address) to
+    /// wake it.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
+        let Ok(mut addr) = self.listener.local_addr() else {
+            return;
+        };
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Err(e) = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT) {
+            // The next client connection wakes the acceptor instead.
+            eprintln!("fairness-serve: waking the acceptor failed: {e}");
+        }
     }
 
     /// Serves until [`shutdown`](Self::shutdown) is called or
     /// `external_stop` returns true (the binary wires SIGTERM/SIGINT in
-    /// here), then drains gracefully: no new connections, queued jobs
+    /// here; a watcher thread evaluates it every 50 ms, off the request
+    /// path), then drains gracefully: no new connections, queued jobs
     /// still execute, in-flight streams finish.
     ///
     /// # Errors
     /// Fatal listener errors only; per-connection failures are logged
     /// to stderr and dropped.
-    pub fn run(self: &Arc<Self>, external_stop: impl Fn() -> bool) -> io::Result<()> {
+    pub fn run(self: &Arc<Self>, external_stop: impl Fn() -> bool + Sync) -> io::Result<()> {
         // Exactly one executor thread: jobs run serially in submission
         // order (each job still parallelizes internally over the shared
         // pool), which keeps event streams deterministic.
@@ -121,28 +158,21 @@ impl Server {
             let server = Arc::clone(self);
             std::thread::spawn(move || server.service.serve_worker())
         };
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) || external_stop() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let server = Arc::clone(self);
-                    connections.push(std::thread::spawn(move || {
-                        if let Err(e) = server.handle_connection(stream) {
-                            eprintln!("fairness-serve: connection error: {e}");
-                        }
-                    }));
-                    connections.retain(|h| !h.is_finished());
+        let connections = std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                while !self.shutdown.load(Ordering::SeqCst) {
+                    if external_stop() {
+                        self.shutdown();
+                    }
+                    std::thread::park_timeout(STOP_POLL);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+            });
+            let accepted = self.accept_loop();
+            // Stops the watcher, also after a fatal accept error.
+            self.shutdown.store(true, Ordering::SeqCst);
+            watcher.thread().unpark();
+            accepted
+        })?;
         // Graceful drain: accepted work completes before the process
         // exits, so no half-written cache entries or orphaned clients.
         self.service.drain();
@@ -151,6 +181,38 @@ impl Server {
             let _ = handle.join();
         }
         Ok(())
+    }
+
+    /// Accepts until shutdown, starting one handler thread per connection
+    /// up to [`MAX_CONNECTIONS`] live handlers; returns the handlers still
+    /// to join.
+    fn accept_loop(self: &Arc<Self>) -> io::Result<Vec<JoinHandle<()>>> {
+        let mut connections = Vec::new();
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            // The wake-up from `shutdown`, or a client racing it.
+            if self.shutdown.load(Ordering::SeqCst) {
+                return Ok(connections);
+            }
+            connections.retain(|h| !h.is_finished());
+            if connections.len() >= MAX_CONNECTIONS {
+                self.count("overloaded");
+                if let Err(e) = reject_overloaded(stream) {
+                    eprintln!("fairness-serve: connection error: {e}");
+                }
+                continue;
+            }
+            let server = Arc::clone(self);
+            connections.push(std::thread::spawn(move || {
+                if let Err(e) = server.handle_connection(stream) {
+                    eprintln!("fairness-serve: connection error: {e}");
+                }
+            }));
+        }
     }
 
     fn count(&self, endpoint: &'static str) {
@@ -163,8 +225,8 @@ impl Server {
     }
 
     fn handle_connection(&self, mut stream: TcpStream) -> io::Result<()> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         let request = match read_request(&mut stream) {
             Ok(request) => request,
             Err(ParseError::Eof) => return Ok(()),
@@ -400,6 +462,19 @@ fn stream_events(stream: &mut TcpStream, job: &Arc<SweepJob>) -> io::Result<()> 
     }
 }
 
+/// Answers a connection beyond [`MAX_CONNECTIONS`] without reading its
+/// request; the response fits the socket buffer of a fresh connection.
+fn reject_overloaded(mut stream: TcpStream) -> io::Result<()> {
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    error_response(
+        &mut stream,
+        503,
+        "Service Unavailable",
+        "overloaded",
+        &format!("more than {MAX_CONNECTIONS} open connections; retry later"),
+    )
+}
+
 fn unknown_job(stream: &mut TcpStream) -> io::Result<()> {
     error_response(
         stream,
@@ -423,4 +498,51 @@ fn error_response(
         fairness_bench::service::json_escape(message)
     );
     write_response(stream, status, reason, "application/json", body.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::sync::mpsc;
+
+    #[test]
+    fn connections_beyond_the_cap_are_answered_503() {
+        let opts = ReproOptions {
+            results_dir: std::env::temp_dir().join("fairness-serve-cap"),
+            disk_cache: false,
+            jobs: 1,
+            ..ReproOptions::quick()
+        };
+        let server = Server::bind("127.0.0.1:0", opts).expect("bind");
+        let addr = server.local_addr().expect("bound");
+        let (result, run) = mpsc::channel();
+        {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || result.send(server.run(|| false).is_ok()));
+        }
+        // Each idle connection holds a handler blocked reading its request;
+        // the kernel queues connections in order, so the acceptor meets
+        // these first.
+        let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let mut extra = TcpStream::connect(addr).expect("connect");
+        let mut response = String::new();
+        extra
+            .read_to_string(&mut response)
+            .expect("read the rejection");
+        assert!(
+            response.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{response}"
+        );
+        assert!(response.contains("\"code\":\"overloaded\""), "{response}");
+        assert!(server
+            .render_metrics()
+            .contains("fairness_http_requests_total{endpoint=\"overloaded\"} 1\n"));
+
+        drop(idle);
+        server.shutdown();
+        assert_eq!(run.recv_timeout(Duration::from_secs(60)), Ok(true));
+    }
 }

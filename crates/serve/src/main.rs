@@ -43,7 +43,8 @@ fn usage() -> &'static str {
      smoke-test scale), CSVs and the ensemble disk cache under results/."
 }
 
-/// Set from the signal handler; polled by the accept loop.
+/// Set from the signal handler; polled by the server's stop watcher (the
+/// handler restarts an interrupted `accept`, so the acceptor never sees it).
 static SIGNALED: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_signal(_signum: i32) {

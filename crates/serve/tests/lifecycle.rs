@@ -1,13 +1,16 @@
 //! Daemon lifecycle, end to end over real sockets: submit → stream →
 //! dedup (byte-identical, zero simulation) → status/report → graceful
-//! drain → restart served from the disk cache.
+//! drain → restart served from the disk cache; and an idle acceptor's
+//! wake-up on shutdown.
 
 use fairness_bench::ReproOptions;
 use fairness_serve::Server;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn test_opts(dir: &Path) -> ReproOptions {
     ReproOptions {
@@ -16,8 +19,9 @@ fn test_opts(dir: &Path) -> ReproOptions {
         seed: 7,
         results_dir: dir.to_path_buf(),
         with_system: false,
-        // jobs = 1 keeps scenario progress events in index order, so the
-        // NDJSON stream itself is byte-deterministic.
+        // Scenario events are in index order at any `jobs`
+        // (`jobs2_restart_replays_the_cold_stream` runs at 2); one worker
+        // keeps the other tests light.
         jobs: 1,
         max_miners: 10,
         disk_cache: true,
@@ -51,13 +55,25 @@ fn metric(metrics_body: &str, name: &str) -> u64 {
         .expect("metric value")
 }
 
-fn spawn(server: &Arc<Server>) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>) {
+/// Runs `server` on its own thread. `run`'s result arrives on the
+/// returned channel, so a missed wake-up fails [`stopped`] instead of
+/// hanging the test.
+fn spawn(
+    server: &Arc<Server>,
+    external_stop: impl Fn() -> bool + Send + Sync + 'static,
+) -> (SocketAddr, mpsc::Receiver<io::Result<()>>) {
     let addr = server.local_addr().expect("bound");
-    let handle = {
-        let server = Arc::clone(server);
-        std::thread::spawn(move || server.run(|| false))
-    };
-    (addr, handle)
+    let (result, run) = mpsc::channel();
+    let server = Arc::clone(server);
+    std::thread::spawn(move || result.send(server.run(external_stop)));
+    (addr, run)
+}
+
+/// Waits (generously) for `run` to return, and requires a clean exit.
+fn stopped(run: &mpsc::Receiver<io::Result<()>>) {
+    run.recv_timeout(Duration::from_secs(60))
+        .expect("run() returns after shutdown")
+        .expect("clean shutdown");
 }
 
 #[test]
@@ -70,7 +86,7 @@ fn daemon_lifecycle_end_to_end() {
     .expect("example scenario file");
 
     let server = Server::bind("127.0.0.1:0", test_opts(&dir)).expect("bind ephemeral");
-    let (addr, run_handle) = spawn(&server);
+    let (addr, run) = spawn(&server, || false);
 
     // --- Submit the example sweep and stream its progress. ---
     let (status, first_body) = request(addr, "POST", "/v1/scenarios", &scn);
@@ -88,7 +104,7 @@ fn daemon_lifecycle_end_to_end() {
         "one progress event per scenario: {first_body}"
     );
     assert!(lines.last().expect("lines").contains("\"event\":\"done\""));
-    // Scenario events arrive in batch order at jobs = 1.
+    // Scenario events arrive in batch order.
     let indices: Vec<&str> = lines
         .iter()
         .filter(|l| l.contains("\"event\":\"scenario\""))
@@ -182,10 +198,7 @@ fn daemon_lifecycle_end_to_end() {
             .contains("\"event\":\"done\""),
         "drained, not dropped: {late_body}"
     );
-    run_handle
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    stopped(&run);
     let final_metrics = server.service().metrics();
     assert_eq!(final_metrics.queue_depth, 0, "drain leaves no queued jobs");
     assert_eq!(final_metrics.jobs_inflight, 0);
@@ -203,7 +216,7 @@ fn daemon_lifecycle_end_to_end() {
     // --- Restart over the same results dir: a fresh process answers the
     // same submission from the disk layer, byte-identically. ---
     let server2 = Server::bind("127.0.0.1:0", test_opts(&dir)).expect("rebind");
-    let (addr2, run_handle2) = spawn(&server2);
+    let (addr2, run2) = spawn(&server2, || false);
     let (status, third_body) = request(addr2, "POST", "/v1/scenarios", &scn);
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert_eq!(
@@ -217,12 +230,91 @@ fn daemon_lifecycle_end_to_end() {
         "every ensemble served from the disk spill after restart"
     );
     server2.shutdown();
-    run_handle2
-        .join()
-        .expect("server2 thread")
-        .expect("clean shutdown");
+    stopped(&run2);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn jobs2_restart_replays_the_cold_stream() {
+    let dir = std::env::temp_dir().join("fairness-serve-jobs2-restart");
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = ReproOptions {
+        jobs: 2,
+        ..test_opts(&dir)
+    };
+    // Scenario 0 simulates ~10⁷ steps, scenario 1 ~10³: on two workers,
+    // 1 finishes first.
+    let scn = "scenario \"slow\" {\n\
+               \x20 protocol = sl-pos(w = 0.01)\n\
+               \x20 shares = [0.2, 0.3, 0.5]\n\
+               \x20 checkpoints = linear(50000, 10)\n\
+               \x20 repetitions = 200\n\
+               }\n\
+               scenario \"fast\" {\n\
+               \x20 protocol = pow(w = 0.01)\n\
+               \x20 shares = [0.3, 0.7]\n\
+               \x20 checkpoints = linear(100, 5)\n\
+               \x20 repetitions = 10\n\
+               }\n";
+
+    let server = Server::bind("127.0.0.1:0", opts.clone()).expect("bind");
+    let (addr, run) = spawn(&server, || false);
+    let (status, cold) = request(addr, "POST", "/v1/scenarios", scn);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let scenario_lines: Vec<&str> = cold
+        .lines()
+        .filter(|l| l.contains("\"event\":\"scenario\""))
+        .collect();
+    assert_eq!(scenario_lines.len(), 2, "{cold}");
+    assert!(scenario_lines[0].contains("\"index\":0"), "{cold}");
+    assert!(scenario_lines[1].contains("\"index\":1"), "{cold}");
+    server.shutdown();
+    stopped(&run);
+
+    // A fresh daemon re-executes the batch from the disk spill, where the
+    // fast scenario no longer finishes first.
+    let server = Server::bind("127.0.0.1:0", opts).expect("rebind");
+    let (addr, run) = spawn(&server, || false);
+    let (status, replay) = request(addr, "POST", "/v1/scenarios", scn);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert_eq!(replay, cold, "cross-restart replay is byte-identical");
+    let cache = server.service().cache();
+    assert_eq!(cache.disk_hits(), 2, "both ensembles served from disk");
+    server.shutdown();
+    stopped(&run);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_wakes_an_idle_acceptor() {
+    let dir = std::env::temp_dir().join("fairness-serve-idle-shutdown");
+    let mut opts = test_opts(&dir);
+    opts.disk_cache = false;
+    // Unspecified address: the wake-up must go over loopback.
+    let server = Server::bind("0.0.0.0:0", opts).expect("bind");
+    let (_, run) = spawn(&server, || false);
+    let stopper = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.shutdown())
+    };
+    stopper.join().expect("shutdown thread");
+    stopped(&run);
+}
+
+#[test]
+fn external_stop_wakes_an_idle_acceptor() {
+    let dir = std::env::temp_dir().join("fairness-serve-idle-stop");
+    let mut opts = test_opts(&dir);
+    opts.disk_cache = false;
+    let server = Server::bind("127.0.0.1:0", opts).expect("bind");
+    let stop = Arc::new(AtomicBool::new(false));
+    let (_, run) = spawn(&server, {
+        let stop = Arc::clone(&stop);
+        move || stop.load(Ordering::SeqCst)
+    });
+    stop.store(true, Ordering::SeqCst);
+    stopped(&run);
 }
 
 #[test]
@@ -232,7 +324,7 @@ fn backpressure_and_routing_errors() {
     let mut opts = test_opts(&dir);
     opts.disk_cache = false;
     let server = Server::bind("127.0.0.1:0", opts).expect("bind");
-    let (addr, run_handle) = spawn(&server);
+    let (addr, run) = spawn(&server, || false);
 
     let (status, body) = request(addr, "GET", "/nope", "");
     assert_eq!(status, "HTTP/1.1 404 Not Found");
@@ -259,6 +351,6 @@ fn backpressure_and_routing_errors() {
     assert!(metrics.contains("fairness_http_requests_total{endpoint=\"not-found\"} 1"));
 
     server.shutdown();
-    run_handle.join().expect("thread").expect("clean shutdown");
+    stopped(&run);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,32 +12,74 @@
 //! so content-derived seeds stay reproducible across runs, platforms and
 //! toolchains.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// A thread-safe memoization cache with hit/miss accounting.
+/// A thread-safe, single-flight memoization cache with hit/miss
+/// accounting.
 ///
-/// `get_or_insert_with` computes **outside** the lock, so a long-running
-/// computation never blocks unrelated keys. If two threads race on the same
-/// missing key both compute, but only the first insert wins and the values
-/// are identical by the determinism contract (the closure must be a pure
-/// function of the key) — results never depend on scheduling.
+/// [`get_or_insert_with`](Self::get_or_insert_with) computes **outside**
+/// the lock, so a long-running computation never blocks unrelated keys.
+/// Concurrent callers for a key that is being computed wait for that
+/// computation instead of repeating it: each distinct key is computed
+/// once per cache lifetime (and again only after [`clear`](Self::clear)
+/// or a panicking computation). A **miss** is one computation; every
+/// other lookup, including one that waited, is a **hit**.
 #[derive(Debug)]
 pub struct MemoCache<K, V> {
-    map: Mutex<HashMap<K, V>>,
+    state: Mutex<State<K, V>>,
+    /// Signalled whenever a key leaves `State::computing`.
+    computed: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Times a lookup blocked on another caller's computation (the tests
+    /// read it to order their threads).
+    waits: AtomicU64,
+}
+
+#[derive(Debug)]
+struct State<K, V> {
+    ready: HashMap<K, V>,
+    /// Keys whose computation is running on some caller's thread.
+    computing: HashSet<K>,
 }
 
 impl<K, V> Default for MemoCache<K, V> {
     fn default() -> Self {
         Self {
-            map: Mutex::new(HashMap::new()),
+            state: Mutex::new(State {
+                ready: HashMap::new(),
+                computing: HashSet::new(),
+            }),
+            computed: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            waits: AtomicU64::new(0),
         }
+    }
+}
+
+/// Marks a key as computing for as long as it lives: dropping it (after
+/// the value is stored, or while a panicking computation unwinds) frees
+/// the key and wakes every waiter.
+struct Flight<'a, K: Eq + Hash, V> {
+    cache: &'a MemoCache<K, V>,
+    key: &'a K,
+}
+
+impl<K: Eq + Hash, V> Drop for Flight<'_, K, V> {
+    fn drop(&mut self) {
+        // Every update under this lock is one set or map operation, so
+        // the state is valid even if a panic poisoned it.
+        self.cache
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .computing
+            .remove(self.key);
+        self.cache.computed.notify_all();
     }
 }
 
@@ -48,22 +90,42 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, State<K, V>> {
+        self.state.lock().expect("cache lock")
+    }
+
     /// Returns the cached value for `key`, computing and inserting it via
-    /// `compute` on a miss.
+    /// `compute` on a miss. If another caller is computing `key`, waits
+    /// for its value; if that computation panics, one waiter computes in
+    /// its place.
+    ///
+    /// `compute` must not look up `key` in this cache again (it would
+    /// wait for itself).
     ///
     /// # Panics
-    /// Panics if the internal lock is poisoned (a previous `compute`
-    /// panicked while inserting).
+    /// Propagates a panic from `compute`; panics if the internal lock is
+    /// poisoned.
     pub fn get_or_insert_with<F: FnOnce() -> V>(&self, key: &K, compute: F) -> V {
-        if let Some(v) = self.map.lock().expect("cache lock").get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
+        let mut state = self.lock();
+        loop {
+            if let Some(v) = state.ready.get(key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return v.clone();
+            }
+            if !state.computing.contains(key) {
+                break;
+            }
+            self.waits.fetch_add(1, Ordering::Relaxed);
+            state = self.computed.wait(state).expect("cache lock");
         }
+        state.computing.insert(key.clone());
+        drop(state);
         self.misses.fetch_add(1, Ordering::Relaxed);
+        let flight = Flight { cache: self, key };
         let value = compute();
-        let mut map = self.map.lock().expect("cache lock");
-        // Keep the first insert on a race so every reader observes one value.
-        map.entry(key.clone()).or_insert_with(|| value).clone()
+        self.lock().ready.insert(key.clone(), value.clone());
+        drop(flight);
+        value
     }
 
     /// Returns the cached value for `key` without computing.
@@ -74,7 +136,7 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     /// Panics if the internal lock is poisoned.
     #[must_use]
     pub fn peek(&self, key: &K) -> Option<V> {
-        self.map.lock().expect("cache lock").get(key).cloned()
+        self.lock().ready.get(key).cloned()
     }
 
     /// Number of lookups answered from the cache.
@@ -83,7 +145,7 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups that had to compute.
+    /// Number of computations started (one per miss).
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
@@ -95,7 +157,7 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     /// Panics if the internal lock is poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock").len()
+        self.lock().ready.len()
     }
 
     /// Whether the cache holds no entries.
@@ -107,12 +169,13 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         self.len() == 0
     }
 
-    /// Drops every entry and resets the hit/miss counters.
+    /// Drops every finished entry and resets the hit/miss counters
+    /// (computations in flight still store their values).
     ///
     /// # Panics
     /// Panics if the internal lock is poisoned.
     pub fn clear(&self) {
-        self.map.lock().expect("cache lock").clear();
+        self.lock().ready.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -189,6 +252,8 @@ impl StableHasher {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::{mpsc, Arc, Barrier};
+    use std::time::Duration;
 
     #[test]
     fn miss_then_hit() {
@@ -230,16 +295,97 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_converge_to_one_value() {
+        const CALLERS: u64 = 8;
         let cache: MemoCache<u32, u64> = MemoCache::new();
+        let calls = AtomicUsize::new(0);
+        let barrier = Barrier::new(CALLERS as usize);
         let got: Vec<u64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| cache.get_or_insert_with(&7, || 7 * 3)))
+            let handles: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.get_or_insert_with(&7, || {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            // Finish only once every other caller waits on
+                            // this computation, so none can have missed.
+                            while cache.waits.load(Ordering::Relaxed) < CALLERS - 1 {
+                                std::thread::yield_now();
+                            }
+                            7 * 3
+                        })
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(got.iter().all(|&v| v == 21));
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "one compute per key");
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), CALLERS - 1);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.hits() + cache.misses(), 8);
+    }
+
+    #[test]
+    fn distinct_keys_compute_concurrently() {
+        // Each computation finishes only after the other has started, so
+        // the pair completes only if the two run at the same time.
+        let cache: MemoCache<u32, bool> = MemoCache::new();
+        let cache = &cache;
+        let (started_1, seen_by_2) = mpsc::channel();
+        let (started_2, seen_by_1) = mpsc::channel();
+        let overlapped = std::thread::scope(|scope| {
+            let one = scope.spawn(move || {
+                cache.get_or_insert_with(&1, || {
+                    started_1.send(()).unwrap();
+                    seen_by_1.recv_timeout(Duration::from_secs(30)).is_ok()
+                })
+            });
+            let two = scope.spawn(move || {
+                cache.get_or_insert_with(&2, || {
+                    started_2.send(()).unwrap();
+                    seen_by_2.recv_timeout(Duration::from_secs(30)).is_ok()
+                })
+            });
+            one.join().unwrap() && two.join().unwrap()
+        });
+        assert!(overlapped, "distinct keys must not compute one at a time");
+        assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn panicking_compute_wakes_its_waiters() {
+        let cache: Arc<MemoCache<u32, u32>> = Arc::new(MemoCache::new());
+        let (entered, compute_entered) = mpsc::channel();
+        let leader = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.get_or_insert_with(&5, || {
+                    entered.send(()).unwrap();
+                    while cache.waits.load(Ordering::Relaxed) == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("compute failed while a caller waited on it");
+                })
+            })
+        };
+        compute_entered.recv().unwrap();
+        let (value_tx, value) = mpsc::channel();
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                value_tx.send(cache.get_or_insert_with(&5, || 55)).unwrap();
+            })
+        };
+        assert!(leader.join().is_err(), "the leader's panic propagates");
+        assert_eq!(
+            value.recv_timeout(Duration::from_secs(30)),
+            Ok(55),
+            "the waiter is woken and computes in the leader's place"
+        );
+        waiter.join().unwrap();
+        assert_eq!(cache.peek(&5), Some(55));
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.hits(), 0);
     }
 
     #[test]
