@@ -12,14 +12,15 @@
 //!
 //! Run with `cargo run --release --bin repro -- all`. Results print to
 //! stdout and CSVs land under `results/` (override with `--out`).
-//! `--jobs N` bounds the shared worker budget (experiments, sweep points
-//! and Monte-Carlo repetitions); output is bit-identical for every `N`.
+//! `--jobs N` bounds the workers of each scheduling layer (experiments and
+//! sweep points share one budget; each Monte-Carlo ensemble spawns its
+//! own); output is bit-identical for every `N`.
 //! Computed ensembles persist under `results/.cache/` across invocations
 //! (`--no-disk-cache` opts out).
 
 use fairness_bench::experiments::{find, registry, SweepService};
 use fairness_bench::schedule::timings_json;
-use fairness_bench::ReproOptions;
+use fairness_bench::RunFlags;
 use fairness_core::scenario::text::parse_scenarios;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -108,97 +109,27 @@ fn list_protocols() -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = ReproOptions::default();
+    let mut flags = RunFlags::default();
     let mut targets: Vec<String> = Vec::new();
     let mut timings_path: Option<PathBuf> = None;
-    // `--quick` only rescales repetition counts the user did not set
-    // explicitly, regardless of flag order.
-    let mut quick = false;
-    let mut reps_set = false;
-    let mut system_reps_set = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--no-system" => opts.with_system = false,
-            "--no-disk-cache" => opts.disk_cache = false,
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(v) => opts.jobs = v,
-                    None => {
-                        eprintln!("--jobs needs a number\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match flags.take(&arg, &mut args) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => {
+                eprintln!("{e}\n{}", usage());
+                return ExitCode::FAILURE;
             }
-            "--max-miners" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(v) if v >= 2 => opts.max_miners = v,
-                    _ => {
-                        eprintln!("--max-miners needs a number >= 2\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
+        }
+        match arg.as_str() {
+            "--timings" => match args.next() {
+                Some(v) => timings_path = Some(PathBuf::from(v)),
+                None => {
+                    eprintln!("--timings needs a file path\n{}", usage());
+                    return ExitCode::FAILURE;
                 }
-            }
-            "--reps" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(v) => {
-                        opts.repetitions = v;
-                        reps_set = true;
-                    }
-                    None => {
-                        eprintln!("--reps needs a number\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--system-reps" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(v) => {
-                        opts.system_repetitions = v;
-                        system_reps_set = true;
-                    }
-                    None => {
-                        eprintln!("--system-reps needs a number\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(v) => opts.seed = v,
-                    None => {
-                        eprintln!("--seed needs a number\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => opts.results_dir = PathBuf::from(v),
-                    None => {
-                        eprintln!("--out needs a directory\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--timings" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => timings_path = Some(PathBuf::from(v)),
-                    None => {
-                        eprintln!("--timings needs a file path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
+            },
             "-h" | "--help" => {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -209,17 +140,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        i += 1;
     }
-    if quick {
-        let scale = ReproOptions::quick();
-        if !reps_set {
-            opts.repetitions = scale.repetitions;
-        }
-        if !system_reps_set {
-            opts.system_repetitions = scale.system_repetitions;
-        }
-    }
+    let opts = flags.finish();
     if targets.is_empty() {
         targets.push("all".to_owned());
     }
@@ -366,8 +288,8 @@ fn main() -> ExitCode {
         selected
     };
 
-    // One shared worker budget for everything: the experiment scheduler,
-    // each figure's sweep points, and the Monte-Carlo inner loops.
+    // `--jobs` sizes both the experiment/sweep pool and each Monte-Carlo
+    // ensemble's workers.
     fairness_stats::mc::set_global_threads(opts.jobs);
     let reps = opts.repetitions;
     let service = SweepService::new(opts);

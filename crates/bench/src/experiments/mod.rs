@@ -234,9 +234,10 @@ pub(crate) mod testutil {
     use crate::ReproOptions;
 
     /// A tiny harness for unit tests: 60 repetitions, no hash-level system
-    /// runs, CSVs under a per-suffix temp dir. The pool is serial so cache
-    /// hit/miss counts are deterministic (two concurrent misses on one key
-    /// both count as misses by design).
+    /// runs, CSVs under a per-suffix temp dir, a serial pool. Cache
+    /// hit/miss counts would be the same at any `jobs`: the cache is
+    /// single-flight, so each key is one miss and a lookup that waited
+    /// for a concurrent compute counts as a hit.
     pub fn tiny_service(dir_suffix: &str) -> SweepService {
         SweepService::new(tiny_opts(dir_suffix))
     }

@@ -29,7 +29,6 @@
 pub mod account;
 pub mod block;
 pub mod chain;
-pub mod codec;
 pub mod consensus;
 pub mod difficulty;
 pub mod hash;
@@ -43,7 +42,6 @@ pub mod u256;
 pub use account::{proportional_split, Account, Address, Ledger, LedgerError};
 pub use block::{Block, BlockHeader};
 pub use chain::{Chain, ChainError};
-pub use codec::{decode_block, decode_chain, encode_block, encode_chain, DecodeError};
 pub use consensus::{
     BlockLottery, CPosEngine, EpochOutcome, FslPosEngine, LotteryOutcome, MinerProfile,
     MlPosEngine, PowEngine, SlPosEngine,

@@ -135,42 +135,6 @@ proptest! {
         prop_assert_ne!(tx.id(), other.id());
     }
 
-    // ---------------- wire codec ----------------
-
-    #[test]
-    fn block_codec_roundtrip(
-        height in any::<u64>(),
-        timestamp in any::<u64>(),
-        nonce in any::<u64>(),
-        txs in prop::collection::vec((0u64..1_000_000, 0u64..1_000, 0u64..1_000), 0..12),
-    ) {
-        let proposer = chain_sim::Address::for_miner(0);
-        let mut body = vec![Transaction::coinbase(proposer, 50, height)];
-        for (amount, fee, nonce) in txs {
-            body.push(Transaction::transfer(
-                chain_sim::Address::for_miner(1),
-                chain_sim::Address::for_miner(2),
-                amount + 1,
-                fee,
-                nonce,
-            ));
-        }
-        let block = chain_sim::Block::assemble(
-            height,
-            HashBuilder::new("parent").u64(height).finish(),
-            timestamp,
-            U256::from_u128(nonce as u128) << 64u32,
-            nonce,
-            proposer,
-            body,
-        );
-        let decoded = chain_sim::decode_block(chain_sim::encode_block(&block))
-            .expect("roundtrip decode");
-        prop_assert_eq!(&decoded, &block);
-        prop_assert_eq!(decoded.hash(), block.hash());
-        prop_assert!(decoded.merkle_root_valid());
-    }
-
     // ---------------- difficulty ----------------
 
     #[test]

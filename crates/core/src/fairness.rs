@@ -9,10 +9,8 @@
 //!   the *unfair area*, and `Pr[λ_A ∉ fair area]` is the *unfair
 //!   probability* reported throughout Section 5.
 
-use serde::{Deserialize, Serialize};
-
 /// The `(ε, δ)` parameters of robust fairness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpsilonDelta {
     /// Relative half-width of the fair area.
     pub epsilon: f64,
@@ -116,7 +114,7 @@ pub fn equitability(samples: &[f64], a: f64) -> f64 {
 }
 
 /// Verdict of an empirical fairness evaluation at one horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FairnessVerdict {
     /// Initial resource share of the tracked miner.
     pub share: f64,

@@ -43,7 +43,6 @@
 //! ```
 
 pub mod adversary;
-pub mod config;
 pub mod decentralization;
 pub mod fairness;
 pub mod game;
@@ -65,7 +64,6 @@ pub use adversary::{
     run_fork_game, Adversary, ForkAction, ForkEvent, ForkMachine, ForkState, Honest, RevenueTally,
     SelfishMining, StakeGrinding, Strategy,
 };
-pub use config::{GameConfig, ProtocolConfig};
 pub use decentralization::DecentralizationReport;
 pub use fairness::{
     equitability, expectational_gap, unfair_probability, EpsilonDelta, FairnessVerdict,
@@ -95,7 +93,6 @@ pub mod prelude {
     pub use crate::adversary::{
         run_fork_game, Adversary, Honest, RevenueTally, SelfishMining, StakeGrinding, Strategy,
     };
-    pub use crate::config::{GameConfig, ProtocolConfig};
     pub use crate::decentralization::DecentralizationReport;
     pub use crate::fairness::{equitability, unfair_probability, EpsilonDelta, FairnessVerdict};
     pub use crate::game::MiningGame;

@@ -13,10 +13,9 @@ use crate::protocol::IncentiveProtocol;
 use crate::withholding::WithholdingSchedule;
 use fairness_stats::mc::{run_monte_carlo, McConfig};
 use fairness_stats::summary::FiveNumber;
-use serde::{Deserialize, Serialize};
 
 /// Band statistics at one checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandPoint {
     /// The checkpoint (number of blocks/epochs).
     pub n: u64,
@@ -31,7 +30,7 @@ pub struct BandPoint {
 }
 
 /// Summary of a Monte-Carlo ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleSummary {
     /// Protocol name.
     pub protocol: String,
@@ -72,7 +71,7 @@ impl EnsembleSummary {
 }
 
 /// Configuration of an ensemble run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleConfig {
     /// Initial shares (miner 0 is the tracked miner A).
     pub initial_shares: Vec<f64>,

@@ -65,6 +65,7 @@ impl IncentiveProtocol for Algorand {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::{run_ensemble, EnsembleConfig};
 
     #[test]
     fn deterministic_proportional_split() {
@@ -93,5 +94,14 @@ mod tests {
         }
         let total: f64 = stakes.iter().sum();
         assert!((stakes[0] / total - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn algorand_absolutely_fair() {
+        let config = EnsembleConfig::paper_default(0.2, 100, 200, 1);
+        let last = run_ensemble(&Algorand::new(0.1), &config).final_point();
+        assert!((last.mean - 0.2).abs() < 1e-12);
+        assert_eq!(last.unfair_probability, 0.0);
+        assert!((last.p95 - last.p05).abs() < 1e-12);
     }
 }

@@ -83,6 +83,7 @@ impl IncentiveProtocol for Eos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::{run_ensemble, EnsembleConfig};
 
     #[test]
     fn small_delegate_overpaid() {
@@ -115,5 +116,22 @@ mod tests {
             unreachable!()
         };
         assert!((r.iter().sum::<f64>() - 0.06).abs() < 1e-12);
+    }
+
+    #[test]
+    fn eos_expectationally_unfair() {
+        // Constant proposer pay: miner A with 20% stake earns
+        // w/2 + v·s_A/Σs per step — strictly more than 20% of (w + v) at
+        // every step, and the excess compounds into her stake, so the mean
+        // reward fraction sits clearly above the fair share.
+        let config = EnsembleConfig::paper_default(0.2, 100, 200, 1);
+        let last = run_ensemble(&Eos::new(0.01, 0.1), &config).final_point();
+        let static_floor = (0.005 + 0.1 * 0.2) / 0.11; // ≈ 0.227, pre-compounding
+        assert!(
+            last.mean > static_floor - 1e-9,
+            "{} should exceed the static floor {static_floor}",
+            last.mean
+        );
+        assert!(last.mean > 0.2 + 0.01, "small delegate over-paid");
     }
 }

@@ -1,10 +1,8 @@
 //! Checkpoint grids and λ-trajectories.
 
-use serde::{Deserialize, Serialize};
-
 /// A recorded trajectory: `λ_A` (or any per-miner metric) sampled at fixed
 /// checkpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     /// The checkpoints (step counts), strictly ascending.
     pub checkpoints: Vec<u64>,

@@ -8,10 +8,8 @@
 //! concentrate by the law of large numbers and robust fairness improves
 //! (Figure 6b).
 
-use serde::{Deserialize, Serialize};
-
 /// A reward-withholding schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WithholdingSchedule {
     /// Rewards take effect at step counts that are multiples of `period`.
     pub period: u64,

@@ -13,9 +13,8 @@
 //! gracefully: queued jobs finish, in-flight streams complete, then the
 //! process exits 0.
 
-use fairness_bench::ReproOptions;
+use fairness_bench::RunFlags;
 use fairness_serve::Server;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -65,59 +64,34 @@ fn install_signal_handlers() {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = ReproOptions::default();
+    let mut flags = RunFlags::default();
     let mut addr = String::from("127.0.0.1:7878");
     let mut queue_capacity = fairness_bench::service::DEFAULT_QUEUE_CAPACITY;
-    let mut quick = false;
-    let mut reps_set = false;
-    let mut system_reps_set = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        macro_rules! value_flag {
-            ($name:literal, $parse:expr) => {{
-                i += 1;
-                match args.get(i).and_then($parse) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!(concat!($name, " needs a valid value\n{}"), usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }};
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match flags.take(&arg, &mut args) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => {
+                eprintln!("{e}\n{}", usage());
+                return ExitCode::FAILURE;
+            }
         }
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--no-system" => opts.with_system = false,
-            "--no-disk-cache" => opts.disk_cache = false,
-            "--addr" => addr = value_flag!("--addr", |v: &String| Some(v.clone())),
-            "--queue-capacity" => {
-                queue_capacity = value_flag!("--queue-capacity", |v: &String| v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0));
-            }
-            "--jobs" => opts.jobs = value_flag!("--jobs", |v: &String| v.parse().ok()),
-            "--reps" => {
-                opts.repetitions = value_flag!("--reps", |v: &String| v.parse().ok());
-                reps_set = true;
-            }
-            "--system-reps" => {
-                opts.system_repetitions = value_flag!("--system-reps", |v: &String| v.parse().ok());
-                system_reps_set = true;
-            }
-            "--seed" => opts.seed = value_flag!("--seed", |v: &String| v.parse().ok()),
-            "--max-miners" => {
-                opts.max_miners = value_flag!("--max-miners", |v: &String| v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 2));
-            }
-            "--out" => {
-                opts.results_dir =
-                    PathBuf::from(value_flag!("--out", |v: &String| Some(v.clone())));
-            }
+        match arg.as_str() {
+            "--addr" => match args.next() {
+                Some(v) => addr = v,
+                None => {
+                    eprintln!("--addr needs a value\n{}", usage());
+                    return ExitCode::FAILURE;
+                }
+            },
+            "--queue-capacity" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => queue_capacity = n,
+                _ => {
+                    eprintln!("--queue-capacity needs a number >= 1\n{}", usage());
+                    return ExitCode::FAILURE;
+                }
+            },
             "-h" | "--help" => {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -127,17 +101,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        i += 1;
     }
-    if quick {
-        let scale = ReproOptions::quick();
-        if !reps_set {
-            opts.repetitions = scale.repetitions;
-        }
-        if !system_reps_set {
-            opts.system_repetitions = scale.system_repetitions;
-        }
-    }
+    let opts = flags.finish();
 
     install_signal_handlers();
     fairness_stats::mc::set_global_threads(opts.jobs);
