@@ -1,13 +1,14 @@
 //! Criterion benchmarks: the simulation hot paths this workspace's
 //! wall-clock lives in — per-step game stepping for every base protocol,
-//! weighted sampling (Fenwick vs linear scan), and sha256 nonce grinding
-//! (midstate vs full rebuild).
+//! weighted sampling (Fenwick vs linear scan), sha256 nonce grinding
+//! (midstate vs full rebuild), and the hash-level overlay's blocks.
 //!
 //! CI runs these in smoke mode (one pass each) so the benches cannot rot;
 //! locally, `cargo bench --bench hotpath` prints ns/iter per target.
 
-use chain_sim::{Hash256, HashBuilder};
+use chain_sim::{run_experiment, ExperimentConfig, Hash256, HashBuilder, ProtocolKind};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use fairness_bench::experiments::common::{A_DEFAULT, W_DEFAULT};
 use fairness_core::game::MiningGame;
 use fairness_core::miner::{paper_multi_miner, sample_categorical, two_miner};
 use fairness_core::prelude::*;
@@ -160,6 +161,29 @@ fn bench_grind(c: &mut Criterion) {
     group.finish();
 }
 
+/// Blocks per overlay iteration.
+const OVERLAY_BLOCKS: u64 = 300;
+
+/// One `run_experiment` repetition of each of Figure 2's hash-level
+/// networks (`a = 0.2`, `w = 0.01`), so ns/iter divided by
+/// `OVERLAY_BLOCKS` is the cost of one block: lottery, assembly,
+/// validation and ledger update.
+fn bench_overlay(c: &mut Criterion) {
+    let mut group = c.benchmark_group("overlay");
+    for (kind, label) in [
+        (ProtocolKind::Pow, "pow"),
+        (ProtocolKind::MlPos, "ml-pos"),
+        (ProtocolKind::SlPos, "sl-pos"),
+    ] {
+        let config = ExperimentConfig::two_miner(kind, A_DEFAULT, W_DEFAULT, OVERLAY_BLOCKS);
+        let mut rng = Xoshiro256StarStar::new(0x31);
+        group.bench_function(BenchmarkId::new(label, OVERLAY_BLOCKS), |b| {
+            b.iter(|| black_box(run_experiment(&config, &mut rng).final_lambda));
+        });
+    }
+    group.finish();
+}
+
 fn full_trial(prev: &Hash256, pubkey: &Hash256, nonce: u64) -> Hash256 {
     HashBuilder::new("pow-trial")
         .hash(prev)
@@ -173,6 +197,7 @@ criterion_group!(
     bench_steps,
     bench_layers,
     bench_sampling,
-    bench_grind
+    bench_grind,
+    bench_overlay
 );
 criterion_main!(benches);

@@ -1131,6 +1131,37 @@ mod tests {
         assert!(job.error().is_some());
     }
 
+    /// A zero-share `system` cross-check that skipped the `.scn` parser's
+    /// validation fails its job with the typed code instead of panicking
+    /// the executor, and the service runs the next job.
+    #[test]
+    fn zero_share_system_fails_with_its_code() {
+        let mut opts = tiny_opts("svc-zero-share");
+        opts.with_system = true;
+        let svc = SweepService::new(opts);
+        let mut bad = ScenarioSpec::builder("zero share", ProtocolSpec::new("pow").with("w", 0.01))
+            .two_miner(0.2)
+            .explicit(vec![50])
+            .system("pow", 50, 7)
+            .build();
+        bad.shares = fairness_core::scenario::SharesSpec::Explicit(vec![0.0, 1.0]);
+        let (job, _) = svc.submit(vec![bad]).expect("submit");
+        svc.execute(&svc.next_job().expect("job"));
+        assert_eq!(job.phase(), JobPhase::Failed);
+        let (events, _, _) = job.events_since(0);
+        assert!(matches!(
+            events.last(),
+            Some(ProgressEvent::Failed {
+                code: "system-needs-positive-shares",
+                ..
+            })
+        ));
+        let (next, _) = svc.submit(vec![spec("after", 0.01)]).expect("submit");
+        svc.execute(&svc.next_job().expect("job"));
+        assert_eq!(next.phase(), JobPhase::Done);
+        assert_eq!(svc.metrics().jobs_inflight, 0);
+    }
+
     #[test]
     fn metrics_render_as_prometheus_text() {
         let svc = service("svc-prom");

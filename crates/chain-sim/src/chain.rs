@@ -49,6 +49,8 @@ impl std::error::Error for ChainError {}
 #[derive(Debug, Clone)]
 pub struct Chain {
     blocks: Vec<Block>,
+    /// Header hash of the tip, kept so that appends hash each header once.
+    tip_hash: Hash256,
     by_hash: HashMap<Hash256, u64>,
     wins: HashMap<Address, u64>,
 }
@@ -59,6 +61,7 @@ impl Chain {
     pub fn new(genesis: Block) -> Self {
         let mut chain = Self {
             blocks: Vec::new(),
+            tip_hash: Hash256::ZERO,
             by_hash: HashMap::new(),
             wins: HashMap::new(),
         };
@@ -67,8 +70,10 @@ impl Chain {
         chain
     }
 
+    /// Indexes a block about to become the tip.
     fn index(&mut self, block: &Block) {
-        self.by_hash.insert(block.hash(), block.header.height);
+        self.tip_hash = block.hash();
+        self.by_hash.insert(self.tip_hash, block.header.height);
         if block.header.height > 0 {
             *self.wins.entry(block.header.proposer).or_insert(0) += 1;
         }
@@ -78,6 +83,12 @@ impl Chain {
     #[must_use]
     pub fn tip(&self) -> &Block {
         self.blocks.last().expect("chain always has genesis")
+    }
+
+    /// The tip's header hash, computed once when the tip was appended.
+    #[must_use]
+    pub fn tip_hash(&self) -> Hash256 {
+        self.tip_hash
     }
 
     /// Chain height (genesis = 0).
@@ -141,7 +152,7 @@ impl Chain {
                 got: block.header.height,
             });
         }
-        if block.header.prev_hash != tip.hash() {
+        if block.header.prev_hash != self.tip_hash {
             return Err(ChainError::BadParent);
         }
         if block.header.timestamp < tip.header.timestamp {
@@ -220,6 +231,7 @@ mod tests {
         assert_eq!(chain.height(), 2);
         assert_eq!(chain.len(), 3);
         assert!(!chain.is_empty());
+        assert_eq!(chain.tip_hash(), chain.tip().hash());
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 (NIST-vector tested);
 //! * [`hash`] — domain-separated hashing, hash-as-uniform conversion;
 //! * [`merkle`] — Merkle commitments over block bodies;
-//! * [`account`], [`transaction`], [`block`], [`chain`], [`mempool`] — the
-//!   ledger: exact integer stake accounting with supply invariants;
+//! * [`account`], [`transaction`], [`block`], [`chain`] — the ledger:
+//!   exact integer stake accounting with supply invariants;
+//! * [`mempool`] — a first-in, first-out queue of pending synthetic
+//!   transfers, authorized only when a block includes them;
 //! * [`difficulty`] — Bitcoin-style retargeting and NXT base-target rules;
 //! * [`consensus`] — hash-level lottery engines for PoW, ML-PoS, SL-PoS,
 //!   FSL-PoS and C-PoS, each implementing Section 2 of the paper

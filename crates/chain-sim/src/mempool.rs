@@ -1,208 +1,91 @@
-//! Fee-prioritized transaction pool.
+//! First-in, first-out pool of pending synthetic transfers.
 //!
-//! Keeps block bodies realistic: the network simulation injects synthetic
-//! transfers, proposers pull the highest-fee transactions into blocks, and
-//! Merkle roots therefore commit to non-trivial payloads.
+//! Keeps block bodies realistic: the network simulation queues synthetic
+//! user transfers here, proposers take the oldest into blocks, and Merkle
+//! roots therefore commit to non-trivial payloads. Transfers wait
+//! unsigned; [`Mempool::take`] authorizes each one as it leaves the pool,
+//! so a transfer that never reaches a block is never hashed.
 
-use crate::hash::Hash256;
+use crate::account::Address;
 use crate::transaction::Transaction;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::VecDeque;
 
-/// A transaction pool ordered by fee (highest first), FIFO within a fee
-/// level.
+/// A queue of unsigned transfers, oldest first. Every transfer pays the
+/// zero fee.
 #[derive(Debug, Clone, Default)]
 pub struct Mempool {
-    /// (fee, arrival sequence) → transaction; iterate in reverse for
-    /// highest-fee-first.
-    by_priority: BTreeMap<(u64, u64), Transaction>,
-    ids: HashSet<Hash256>,
-    seq: u64,
-    capacity: Option<usize>,
+    /// `(from, to, amount, nonce)` payloads in arrival order.
+    pending: VecDeque<(Address, Address, u64, u64)>,
 }
 
 impl Mempool {
-    /// Creates an unbounded pool.
+    /// Creates an empty pool.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a pool that holds at most `capacity` transactions; when full,
-    /// the lowest-fee transaction is evicted on insert (if the newcomer pays
-    /// more).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity: Some(capacity),
-            ..Self::default()
-        }
-    }
-
-    /// Number of pending transactions.
+    /// Number of pending transfers.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.by_priority.len()
+        self.pending.len()
     }
 
     /// Whether the pool is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.by_priority.is_empty()
+        self.pending.is_empty()
     }
 
-    /// Whether a transaction with this id is pending.
-    #[must_use]
-    pub fn contains(&self, id: &Hash256) -> bool {
-        self.ids.contains(id)
+    /// Queues a transfer of `amount` atoms behind every pending one. The
+    /// caller gives each sender's transfers consecutive nonces, so the
+    /// ledger's nonce check rejects any replay when a block is applied.
+    pub fn push(&mut self, from: Address, to: Address, amount: u64, nonce: u64) {
+        self.pending.push_back((from, to, amount, nonce));
     }
 
-    /// Inserts a transaction. Returns `false` if it was a duplicate or was
-    /// rejected because the pool is full of higher-fee transactions.
-    pub fn insert(&mut self, tx: Transaction) -> bool {
-        let id = tx.id();
-        if self.ids.contains(&id) {
-            return false;
-        }
-        if let Some(cap) = self.capacity {
-            if self.by_priority.len() >= cap {
-                // Evict the cheapest if the newcomer pays more.
-                let (&(lowest_fee, lowest_seq), _) =
-                    self.by_priority.iter().next().expect("pool non-empty");
-                if tx.fee() <= lowest_fee {
-                    return false;
-                }
-                let evicted = self
-                    .by_priority
-                    .remove(&(lowest_fee, lowest_seq))
-                    .expect("entry exists");
-                self.ids.remove(&evicted.id());
-            }
-        }
-        // Negate sequence order inside a fee level? BTreeMap iterates
-        // ascending; we pop from the back. Use reversed seq so that within a
-        // fee level the earliest arrival is popped first.
-        let key = (tx.fee(), u64::MAX - self.seq);
-        self.seq += 1;
-        match self.by_priority.entry(key) {
-            Entry::Vacant(v) => {
-                v.insert(tx);
-                self.ids.insert(id);
-                true
-            }
-            Entry::Occupied(_) => unreachable!("sequence numbers are unique"),
-        }
-    }
-
-    /// Removes and returns up to `max` highest-fee transactions.
-    pub fn take_highest_fee(&mut self, max: usize) -> Vec<Transaction> {
-        let mut out = Vec::with_capacity(max.min(self.by_priority.len()));
-        while out.len() < max {
-            let Some((&key, _)) = self.by_priority.iter().next_back() else {
-                break;
-            };
-            let tx = self.by_priority.remove(&key).expect("entry exists");
-            self.ids.remove(&tx.id());
-            out.push(tx);
-        }
-        out
-    }
-
-    /// Removes specific transactions (e.g. ones included in a received
-    /// block).
-    pub fn remove_all(&mut self, ids: &[Hash256]) {
-        if ids.is_empty() {
-            return;
-        }
-        let targets: HashSet<&Hash256> = ids.iter().collect();
-        self.by_priority.retain(|_, tx| !targets.contains(&tx.id()));
-        for id in ids {
-            self.ids.remove(id);
-        }
+    /// Removes up to `max` of the oldest transfers, authorizing each one
+    /// with [`Transaction::transfer`].
+    pub fn take(&mut self, max: usize) -> impl Iterator<Item = Transaction> + '_ {
+        self.pending
+            .drain(..max.min(self.pending.len()))
+            .map(|(from, to, amount, nonce)| Transaction::transfer(from, to, amount, 0, nonce))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::account::Address;
 
-    fn tx(amount: u64, fee: u64, nonce: u64) -> Transaction {
-        Transaction::transfer(
-            Address::for_miner(0),
-            Address::for_miner(1),
-            amount,
-            fee,
-            nonce,
-        )
-    }
-
-    #[test]
-    fn highest_fee_first() {
-        let mut pool = Mempool::new();
-        pool.insert(tx(1, 5, 0));
-        pool.insert(tx(2, 50, 1));
-        pool.insert(tx(3, 20, 2));
-        let picked = pool.take_highest_fee(2);
-        assert_eq!(picked.len(), 2);
-        assert_eq!(picked[0].fee(), 50);
-        assert_eq!(picked[1].fee(), 20);
-        assert_eq!(pool.len(), 1);
-    }
-
+    /// Every transfer pays the zero fee, so the whole pool is one fee
+    /// level and leaves in arrival order.
     #[test]
     fn fifo_within_fee_level() {
+        let (a, b) = (Address::for_miner(0), Address::for_miner(1));
         let mut pool = Mempool::new();
-        let first = tx(10, 7, 0);
-        let second = tx(20, 7, 1);
-        pool.insert(first);
-        pool.insert(second);
-        let picked = pool.take_highest_fee(2);
-        assert_eq!(picked[0], first);
-        assert_eq!(picked[1], second);
-    }
-
-    #[test]
-    fn duplicate_rejected() {
-        let mut pool = Mempool::new();
-        let t = tx(1, 1, 0);
-        assert!(pool.insert(t));
-        assert!(!pool.insert(t));
+        pool.push(a, b, 10, 0);
+        pool.push(b, a, 20, 0);
+        pool.push(a, b, 30, 1);
+        let picked: Vec<Transaction> = pool.take(2).collect();
+        assert_eq!(
+            picked,
+            vec![
+                Transaction::transfer(a, b, 10, 0, 0),
+                Transaction::transfer(b, a, 20, 0, 0),
+            ]
+        );
+        assert!(picked.iter().all(Transaction::verify_auth));
         assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn capacity_eviction() {
-        let mut pool = Mempool::with_capacity(2);
-        assert!(pool.insert(tx(1, 10, 0)));
-        assert!(pool.insert(tx(2, 20, 1)));
-        // Cheaper than everything: rejected.
-        assert!(!pool.insert(tx(3, 5, 2)));
-        assert_eq!(pool.len(), 2);
-        // More expensive: evicts fee-10.
-        assert!(pool.insert(tx(4, 30, 3)));
-        assert_eq!(pool.len(), 2);
-        let fees: Vec<u64> = pool.take_highest_fee(10).iter().map(|t| t.fee()).collect();
-        assert_eq!(fees, vec![30, 20]);
-    }
-
-    #[test]
-    fn remove_all_by_id() {
-        let mut pool = Mempool::new();
-        let a = tx(1, 1, 0);
-        let b = tx(2, 2, 1);
-        pool.insert(a);
-        pool.insert(b);
-        pool.remove_all(&[a.id()]);
-        assert!(!pool.contains(&a.id()));
-        assert!(pool.contains(&b.id()));
-        assert_eq!(pool.len(), 1);
+        assert_eq!(
+            pool.take(5).collect::<Vec<_>>(),
+            vec![Transaction::transfer(a, b, 30, 0, 1)]
+        );
     }
 
     #[test]
     fn take_from_empty() {
         let mut pool = Mempool::new();
-        assert!(pool.take_highest_fee(5).is_empty());
+        assert_eq!(pool.take(5).count(), 0);
         assert!(pool.is_empty());
     }
 }

@@ -3,8 +3,9 @@
 //! [`NetworkSim`] plays the role of the paper's EC2 deployments (two Geth,
 //! Qtum or NXT nodes mining against each other): it maintains a real chain
 //! with Merkle-committed bodies, a ledger with exact stake accounting, a
-//! mempool fed by synthetic user traffic, and a consensus engine running
-//! the hash-level lottery for every block. [`CPosSim`] is the epoch-based
+//! first-in, first-out mempool of synthetic user transfers (authorized
+//! only when a block includes them), and a consensus engine running the
+//! hash-level lottery for every block. [`CPosSim`] is the epoch-based
 //! equivalent for C-PoS.
 
 use super::EventQueue;
@@ -17,7 +18,7 @@ use crate::consensus::{
 };
 use crate::hash::Hash256;
 use crate::mempool::Mempool;
-use crate::transaction::Transaction;
+use crate::transaction::{Transaction, TxKind};
 use crate::u256::U256;
 use rand::{Rng, RngCore};
 
@@ -252,10 +253,8 @@ impl NetworkSim {
                         [(user + 1 + rng.gen_range(0..self.users.len() - 1)) % self.users.len()];
                     let amount = rng.gen_range(1..100u64);
                     if self.ledger.balance(&from) > amount {
-                        let tx = Transaction::transfer(from, to, amount, 0, self.user_nonces[user]);
-                        if self.mempool.insert(tx) {
-                            self.user_nonces[user] += 1;
-                        }
+                        self.mempool.push(from, to, amount, self.user_nonces[user]);
+                        self.user_nonces[user] += 1;
                     }
                     // Re-schedule this user's next transfer.
                     let next = self.clock + rng.gen_range(5..50u64);
@@ -272,7 +271,7 @@ impl NetworkSim {
     /// Panics if internal consistency is violated (a bug, not an input
     /// error) — e.g. a self-produced block failing validation.
     pub fn step_block(&mut self, rng: &mut dyn RngCore) {
-        let prev = self.chain.tip().hash();
+        let prev = self.chain.tip_hash();
         let height = self.chain.height() + 1;
         let outcome =
             self.config
@@ -288,7 +287,7 @@ impl NetworkSim {
             self.config.block_reward,
             height,
         )];
-        txs.extend(self.mempool.take_highest_fee(self.config.txs_per_block));
+        txs.extend(self.mempool.take(self.config.txs_per_block));
 
         let target = match &self.config.engine {
             Engine::Pow(e) => e.target(),
@@ -315,13 +314,12 @@ impl NetworkSim {
             .expect("self-produced block must validate");
 
         // Apply the block to the ledger.
-        let applied = self.chain.tip().transactions.clone();
-        for tx in &applied {
+        for tx in &self.chain.tip().transactions {
             match tx.kind {
-                crate::transaction::TxKind::Coinbase { to, reward, .. } => {
+                TxKind::Coinbase { to, reward, .. } => {
                     self.ledger.credit(to, reward).expect("reward credit");
                 }
-                crate::transaction::TxKind::Transfer {
+                TxKind::Transfer {
                     from,
                     to,
                     amount,
@@ -461,7 +459,7 @@ impl CPosSim {
 
     /// Runs one epoch: shard lotteries, shard blocks, exact reward split.
     pub fn step_epoch(&mut self, rng: &mut dyn RngCore) -> EpochOutcome {
-        let prev = self.chain.tip().hash();
+        let prev = self.chain.tip_hash();
         let outcome = self
             .engine
             .run_epoch(&prev, self.epoch, &self.miners, &self.stakes, rng);
@@ -470,7 +468,7 @@ impl CPosSim {
         // shard blocks carry no coinbase (Ethereum 2.0 separates issuance).
         for (shard, &proposer) in outcome.shard_proposers.iter().enumerate() {
             let height = self.chain.height() + 1;
-            let parent = self.chain.tip().hash();
+            let parent = self.chain.tip_hash();
             let block = Block::assemble(
                 height,
                 parent,

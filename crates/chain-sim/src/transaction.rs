@@ -1,8 +1,8 @@
 //! Transactions.
 //!
-//! Two kinds exist: user transfers (carried through the mempool into block
-//! bodies, so Merkle roots commit to realistic payloads) and coinbase
-//! rewards (the incentive under study). Authorization uses a hash-based
+//! Two kinds exist: user transfers (queued unsigned in the mempool and
+//! authorized when a block includes them, so Merkle roots commit to
+//! realistic payloads) and coinbase rewards (the incentive under study). Authorization uses a hash-based
 //! commitment in place of real signatures — signature schemes are outside
 //! the paper's model and irrelevant to incentive dynamics (see DESIGN.md).
 

@@ -266,7 +266,8 @@ impl U256 {
         self.checked_mul(rhs).unwrap_or(Self::MAX)
     }
 
-    /// Division and remainder via binary long division.
+    /// Division and remainder: short division for a one-limb divisor,
+    /// binary long division otherwise.
     ///
     /// # Panics
     /// Panics on division by zero.
@@ -276,8 +277,19 @@ impl U256 {
         if self < divisor {
             return (Self::ZERO, self);
         }
-        if divisor == Self::ONE {
-            return (self, Self::ZERO);
+        // Fast path: a divisor below 2⁶⁴ takes one u128 division per limb,
+        // top limb first; each partial remainder is below the divisor, so
+        // every quotient digit fits in a limb.
+        if let Some(d) = divisor.to_u64() {
+            let d = u128::from(d);
+            let mut quotient = [0u64; 4];
+            let mut rem = 0u128;
+            for i in (0..4).rev() {
+                let cur = rem << 64 | u128::from(self.limbs[i]);
+                quotient[i] = (cur / d) as u64;
+                rem = cur % d;
+            }
+            return (Self { limbs: quotient }, Self::from_u128(rem));
         }
         // Fast path: both fit in u128.
         if self.limbs[2] == 0

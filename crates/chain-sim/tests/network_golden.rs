@@ -2,11 +2,12 @@
 //!
 //! Every [`NetworkSim`] run below is reduced to one digest over each
 //! block's header hash and Merkle root, plus the final supply, clock and
-//! per-miner wins. The digests were recorded before the mempool and tip
-//! hash were reworked for speed; those are bookkeeping changes, so any
-//! later change that moves a digest changed which transactions a block
-//! includes, what a header commits to, or how the RNG stream is consumed.
-//! Regenerate ONLY for a deliberate change of the simulation's semantics.
+//! per-miner wins. The digests were recorded before the mempool became a
+//! lazy FIFO and the chain began caching its tip hash; both changes are
+//! bookkeeping and reproduce them. A change that moves a digest changed
+//! which transactions a block includes, what a header commits to, or how
+//! the RNG stream is consumed. Regenerate ONLY for a deliberate change of
+//! the simulation's semantics.
 
 use chain_sim::{
     run_experiment, target_for_expected_interval, Engine, ExperimentConfig, FslPosEngine,

@@ -62,6 +62,25 @@ proptest! {
         prop_assert_eq!(U256::from_u128(v).to_string(), v.to_string());
     }
 
+    #[test]
+    fn u256_div_rem_by_one_limb_reconstructs(
+        limbs in prop::array::uniform4(any::<u64>()),
+        shift in 0u32..256,
+        d in 1u64..,
+    ) {
+        // The shift spreads `n` over every magnitude, `n < d` included.
+        let n = U256::from_limbs(limbs) >> shift;
+        for d in [d, 1, u64::MAX] {
+            let (q, r) = n.div_rem(U256::from_u64(d));
+            prop_assert!(r < U256::from_u64(d));
+            // q·d + r == n, with the product taken in 512 bits so the
+            // check itself cannot wrap.
+            let (lo, hi) = q.widening_mul(U256::from_u64(d));
+            prop_assert!(hi.is_zero());
+            prop_assert_eq!(lo + r, n);
+        }
+    }
+
     // ---------------- ledger ----------------
 
     #[test]

@@ -216,6 +216,9 @@ pub enum ValidationError {
     ZeroSystemHorizon,
     /// A hash-level cross-check on a population that is not two miners.
     SystemNeedsTwoMiners,
+    /// A hash-level cross-check where one of the two miners holds no
+    /// fraction of the total share.
+    SystemNeedsPositiveShares,
 }
 
 impl ValidationError {
@@ -240,6 +243,7 @@ impl ValidationError {
             ValidationError::ZeroWithholding => "zero-withholding",
             ValidationError::ZeroSystemHorizon => "zero-system-horizon",
             ValidationError::SystemNeedsTwoMiners => "system-needs-two-miners",
+            ValidationError::SystemNeedsPositiveShares => "system-needs-positive-shares",
         }
     }
 }
@@ -277,6 +281,10 @@ impl fmt::Display for ValidationError {
             ValidationError::SystemNeedsTwoMiners => {
                 write!(f, "system cross-checks support exactly two miners")
             }
+            ValidationError::SystemNeedsPositiveShares => write!(
+                f,
+                "system cross-checks need both miners to hold a positive fraction of the total share"
+            ),
         }
     }
 }
@@ -543,6 +551,14 @@ impl ScenarioSpec {
             }
             if self.shares.miner_count() != 2 {
                 return Err(ValidationError::SystemNeedsTwoMiners);
+            }
+            // The cross-check runs miner A at this fraction, which must lie
+            // strictly inside (0, 1): a zero share, or one too small to
+            // move the sum, leaves a one-miner network.
+            let shares = self.initial_shares();
+            let a = shares[0] / shares.iter().sum::<f64>();
+            if !(a > 0.0 && a < 1.0) {
+                return Err(ValidationError::SystemNeedsPositiveShares);
             }
         }
         Ok(())
@@ -935,6 +951,41 @@ mod tests {
                     });
                 }),
             ),
+            (
+                "system-needs-positive-shares",
+                Box::new(|s| {
+                    s.shares = SharesSpec::Explicit(vec![0.0, 1.0]);
+                    s.system = Some(SystemSpec {
+                        engine: "pow".into(),
+                        horizon: 50,
+                        salt: 7,
+                    });
+                }),
+            ),
+            (
+                "system-needs-positive-shares",
+                Box::new(|s| {
+                    s.shares = SharesSpec::Explicit(vec![1.0, 0.0]);
+                    s.system = Some(SystemSpec {
+                        engine: "sl-pos".into(),
+                        horizon: 50,
+                        salt: 7,
+                    });
+                }),
+            ),
+            (
+                // Positive, but too small to move the sum: miner A's
+                // fraction rounds to exactly 1.
+                "system-needs-positive-shares",
+                Box::new(|s| {
+                    s.shares = SharesSpec::Empirical(vec![1.0, 1e-17]);
+                    s.system = Some(SystemSpec {
+                        engine: "pow".into(),
+                        horizon: 50,
+                        salt: 7,
+                    });
+                }),
+            ),
         ];
         // Each case's label IS the expected wire code — the codes are a
         // stable wire contract for the serve daemon's error bodies.
@@ -948,6 +999,15 @@ mod tests {
             assert!(!error.to_string().is_empty());
         }
         assert!(sample().validate().is_ok());
+        // A tiny share that still moves the sum leaves two live miners.
+        let mut tiny = sample();
+        tiny.shares = SharesSpec::Explicit(vec![1e-9, 1.0]);
+        tiny.system = Some(SystemSpec {
+            engine: "pow".into(),
+            horizon: 50,
+            salt: 7,
+        });
+        assert!(tiny.validate().is_ok());
     }
 
     #[test]

@@ -32,6 +32,11 @@ pub struct ParseError {
     pub line: usize,
     /// What went wrong.
     pub message: String,
+    /// Stable kebab-case identifier for wire responses: `parse` for a
+    /// syntax error, or the
+    /// [`ValidationError::code`](super::ValidationError::code) of a
+    /// scenario that parsed but failed [`ScenarioSpec::validate`].
+    pub code: &'static str,
 }
 
 impl fmt::Display for ParseError {
@@ -78,6 +83,7 @@ impl<'a> Lexer<'a> {
         ParseError {
             line: self.line,
             message: message.into(),
+            code: "parse",
         }
     }
 
@@ -187,6 +193,7 @@ impl Parser {
         ParseError {
             line: self.line(),
             message: message.into(),
+            code: "parse",
         }
     }
 
@@ -203,6 +210,7 @@ impl Parser {
             None => Err(ParseError {
                 line: self.tokens.last().map_or(1, |(_, line)| *line),
                 message: format!("unexpected end of input, expected {expected}"),
+                code: "parse",
             }),
         }
     }
@@ -221,6 +229,7 @@ impl Parser {
         ParseError {
             line: self.tokens.get(idx).map_or(1, |(_, line)| *line),
             message,
+            code: "parse",
         }
     }
 
@@ -363,6 +372,7 @@ impl Parser {
                         return Err(ParseError {
                             line,
                             message: format!("checkpoint `{v}` is not a non-negative integer"),
+                            code: "parse",
                         });
                     }
                     points.push(v as u64);
@@ -503,6 +513,7 @@ impl Parser {
         let missing = |what: &str| ParseError {
             line: start_line,
             message: format!("scenario \"{name}\" is missing the `{what}` field"),
+            code: "parse",
         };
         let protocol = protocol.ok_or_else(|| missing("protocol"))?;
         let shares = shares.ok_or_else(|| missing("shares"))?;
@@ -516,9 +527,10 @@ impl Parser {
             withholding,
             system,
         };
-        spec.validate().map_err(|message| ParseError {
+        spec.validate().map_err(|error| ParseError {
             line: start_line,
-            message: format!("scenario \"{}\": {message}", spec.name),
+            message: format!("scenario \"{}\": {error}", spec.name),
+            code: error.code(),
         })?;
         Ok(spec)
     }
@@ -548,6 +560,7 @@ pub fn parse_scenarios(text: &str) -> Result<Vec<ScenarioSpec>, ParseError> {
         return Err(ParseError {
             line: 1,
             message: "no scenarios found".into(),
+            code: "parse",
         });
     }
     Ok(specs)
@@ -685,6 +698,7 @@ scenario "measured stakes" {
         let check = |text: &str, line: usize, needle: &str| {
             let err = parse_scenarios(text).expect_err(needle);
             assert_eq!(err.line, line, "{err}");
+            assert_eq!(err.code, "parse", "{err}");
             assert!(
                 err.message.contains(needle),
                 "`{}` should mention `{needle}`",
@@ -724,6 +738,7 @@ scenario "measured stakes" {
             "scenario \"x\" {\n  protocol = pow\n  shares = [0.2, 0.8]\n  checkpoints = [10, 5]\n}";
         let err = parse_scenarios(text).expect_err("descending checkpoints");
         assert!(err.message.contains("strictly ascending"), "{err}");
+        assert_eq!(err.code, "unsorted-checkpoints");
     }
 
     #[test]

@@ -330,9 +330,11 @@ impl Server {
     }
 
     /// `POST /v1/scenarios` — parse the `.scn` body, submit, stream the
-    /// job's events as NDJSON until it is terminal. A duplicate
-    /// submission attaches to the stored job and replays its log
-    /// byte-for-byte with zero simulation work.
+    /// job's events as NDJSON until it is terminal. A body that does not
+    /// parse, or names an invalid scenario, is answered `400` with code
+    /// `parse` or the scenario's validation code. A duplicate submission
+    /// attaches to the stored job and replays its log byte-for-byte with
+    /// zero simulation work.
     fn post_scenarios(&self, stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
         let Ok(text) = std::str::from_utf8(body) else {
             return error_response(
@@ -346,7 +348,7 @@ impl Server {
         let specs = match parse_scenarios(text) {
             Ok(specs) => specs,
             Err(e) => {
-                return error_response(stream, 400, "Bad Request", "parse", &e.to_string());
+                return error_response(stream, 400, "Bad Request", e.code, &e.to_string());
             }
         };
         let job = match self.service.submit(specs) {

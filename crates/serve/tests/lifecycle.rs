@@ -354,3 +354,56 @@ fn backpressure_and_routing_errors() {
     stopped(&run);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `system` cross-check where one miner holds no share is refused with
+/// its typed code before any job is queued. The daemon keeps serving: a
+/// valid batch with a cross-check posted next completes, and a drain
+/// still stops it cleanly.
+#[test]
+fn zero_share_system_is_refused_and_the_daemon_drains() {
+    let dir = std::env::temp_dir().join("fairness-serve-zero-share");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut opts = test_opts(&dir);
+    opts.with_system = true;
+    opts.disk_cache = false;
+    let server = Server::bind("127.0.0.1:0", opts).expect("bind");
+    let (addr, run) = spawn(&server, || false);
+    let batch = |shares: &str| {
+        format!(
+            "scenario \"system check\" {{\n\
+             \x20 protocol = pow(w = 0.01)\n\
+             \x20 shares = {shares}\n\
+             \x20 checkpoints = linear(100, 5)\n\
+             \x20 system = pow(horizon = 50, salt = 7)\n\
+             }}\n"
+        )
+    };
+
+    for zero in ["[0.0, 1.0]", "[1.0, 0.0]"] {
+        let (status, body) = request(addr, "POST", "/v1/scenarios", &batch(zero));
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+        assert!(
+            body.contains("\"code\":\"system-needs-positive-shares\""),
+            "{body}"
+        );
+    }
+    let (status, body) = request(addr, "POST", "/v1/scenarios", &batch("[0.3, 0.7]"));
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(
+        body.lines()
+            .last()
+            .expect("events")
+            .contains("\"event\":\"done\""),
+        "{body}"
+    );
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&metrics, "fairness_jobs_inflight"), 0);
+    assert_eq!(metric(&metrics, "fairness_jobs_failed_total"), 0);
+
+    let (status, body) = request(addr, "POST", "/admin/drain", "");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(body.contains("\"draining\":true"));
+    stopped(&run);
+    assert_eq!(server.service().metrics().jobs_completed, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
