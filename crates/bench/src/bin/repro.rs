@@ -2,9 +2,9 @@
 //! user-authored scenario files.
 //!
 //! ```text
-//! repro [fig1|fig2|fig3|fig4|fig5|fig6|table1|ablations|extensions|
-//!        redistribution|optimal|all]
-//!       [scenario FILE.scn] [list-protocols]
+//! repro [fig1|fig2|fig3|fig4|fig5|fig6|table1|scale|ablations|extensions|
+//!        adversarial|redistribution|optimal|all]
+//!       [scenario FILE.scn] [list-protocols] [cache stats|verify|prune]
 //!       [--quick] [--jobs N] [--reps N] [--system-reps N] [--seed N]
 //!       [--max-miners N] [--no-system] [--no-disk-cache] [--out DIR]
 //!       [--timings FILE]

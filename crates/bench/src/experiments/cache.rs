@@ -252,12 +252,6 @@ impl SweepCache {
         self.disk_hits.load(Ordering::Relaxed)
     }
 
-    /// The spill directory, when disk persistence is enabled.
-    #[must_use]
-    pub fn disk_dir(&self) -> Option<&std::path::Path> {
-        self.disk.as_deref()
-    }
-
     /// Lookups answered without recomputation.
     #[must_use]
     pub fn hits(&self) -> u64 {

@@ -290,26 +290,6 @@ impl SweepJob {
         (events, inner.events.len(), inner.phase.is_terminal())
     }
 
-    /// Blocks until the job reaches a terminal phase (or `timeout`
-    /// elapses), returning the final phase.
-    #[must_use]
-    pub fn wait_terminal(&self, timeout: Duration) -> JobPhase {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("job lock");
-        while !inner.phase.is_terminal() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _timed_out) = self
-                .changed
-                .wait_timeout(inner, deadline - now)
-                .expect("job lock");
-            inner = guard;
-        }
-        inner.phase
-    }
-
     fn push_event(&self, event: ProgressEvent) {
         let mut inner = self.inner.lock().expect("job lock");
         inner.events.push(event);
@@ -731,11 +711,12 @@ impl SweepService {
     /// session (progress events, cancellation checks), stores the report
     /// or error, and updates the service counters.
     pub fn execute(&self, job: &Arc<SweepJob>) {
-        // Each path updates the metrics before publishing the terminal
-        // event, so a client that has read the event sees this job in
-        // `/metrics`.
+        // Each path updates the metrics, the in-flight gauge included,
+        // before publishing the terminal event, so a client that has read
+        // the event sees this job finished in `/metrics`.
         if job.is_cancelled() {
             self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+            self.finish_inflight();
             job.finish(
                 JobPhase::Cancelled,
                 None,
@@ -743,7 +724,6 @@ impl SweepService {
                 0.0,
                 ProgressEvent::Cancelled,
             );
-            self.finish_inflight();
             return;
         }
         job.set_phase(JobPhase::Running);
@@ -760,39 +740,30 @@ impl SweepService {
         let mut walls = self.metrics.target_walls.lock().expect("metrics lock");
         walls.push((format!("job:{:016x}", job.fingerprint), wall));
         drop(walls);
-        match result {
+        let (phase, report, error, event) = match result {
             Ok(report) => {
                 self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                job.finish(
-                    JobPhase::Done,
-                    Some(report),
-                    None,
-                    wall,
-                    ProgressEvent::Done {
-                        scenarios: job.specs.len(),
-                    },
-                );
+                let event = ProgressEvent::Done {
+                    scenarios: job.specs.len(),
+                };
+                (JobPhase::Done, Some(report), None, event)
             }
             Err(ScenarioError::Cancelled) => {
                 self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                job.finish(
-                    JobPhase::Cancelled,
-                    None,
-                    Some(ScenarioError::Cancelled),
-                    wall,
-                    ProgressEvent::Cancelled,
-                );
+                let error = Some(ScenarioError::Cancelled);
+                (JobPhase::Cancelled, None, error, ProgressEvent::Cancelled)
             }
             Err(error) => {
+                self.metrics.failed.fetch_add(1, Ordering::Relaxed);
                 let event = ProgressEvent::Failed {
                     code: error.code(),
                     message: error.to_string(),
                 };
-                self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                job.finish(JobPhase::Failed, None, Some(error), wall, event);
+                (JobPhase::Failed, None, Some(error), event)
             }
-        }
+        };
         self.finish_inflight();
+        job.finish(phase, report, error, wall, event);
     }
 
     /// One resident worker loop: claim → execute until drain. The daemon
@@ -839,7 +810,9 @@ impl SweepService {
 
     /// Begins draining: no new submissions are accepted, queued jobs
     /// still run, and the call blocks until the queue is empty and no
-    /// job is in flight. Idempotent.
+    /// job is in flight. The worker leaves a job's in-flight count just
+    /// before publishing its terminal event, so join the worker thread
+    /// (as `fairness-serve` does) to wait for that event. Idempotent.
     pub fn drain(&self) {
         let mut state = self.state.lock().expect("service lock");
         state.draining = true;
@@ -847,12 +820,6 @@ impl SweepService {
         while !state.queue.is_empty() || state.inflight > 0 {
             state = self.idle.wait(state).expect("service lock");
         }
-    }
-
-    /// Whether [`drain`](Self::drain) has begun.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.state.lock().expect("service lock").draining
     }
 
     /// A point-in-time snapshot of every counter.

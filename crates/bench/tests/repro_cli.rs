@@ -1,7 +1,21 @@
 //! The `repro` binary's exit status and message for a scenario file it
 //! must refuse.
 
-use std::process::Command;
+use std::path::Path;
+use std::process::{Command, Output};
+
+/// Writes `body` to `dir/file` and runs `repro scenario` on it.
+fn run_scenario(dir: &Path, file: &str, body: &str) -> Output {
+    let file = dir.join(file);
+    std::fs::write(&file, body).expect("write scenario");
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("scenario")
+        .arg(&file)
+        .args(["--quick", "--no-disk-cache", "--out"])
+        .arg(dir.join("out"))
+        .output()
+        .expect("run repro")
+}
 
 /// A `system` cross-check where one miner holds no share exits 1 with the
 /// validation message, instead of panicking inside the hash-level run.
@@ -11,10 +25,10 @@ fn zero_share_system_scenario_exits_1_with_the_message() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     for (label, shares) in [("a", "[0.0, 1.0]"), ("b", "[1.0, 0.0]")] {
-        let file = dir.join(format!("zero_{label}.scn"));
-        std::fs::write(
-            &file,
-            format!(
+        let out = run_scenario(
+            &dir,
+            &format!("zero_{label}.scn"),
+            &format!(
                 "scenario \"zero share\" {{\n\
                  \x20 protocol = pow(w = 0.01)\n\
                  \x20 shares = {shares}\n\
@@ -22,15 +36,7 @@ fn zero_share_system_scenario_exits_1_with_the_message() {
                  \x20 system = pow(horizon = 50, salt = 7)\n\
                  }}\n"
             ),
-        )
-        .expect("write scenario");
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .arg("scenario")
-            .arg(&file)
-            .args(["--quick", "--no-disk-cache", "--out"])
-            .arg(dir.join("out"))
-            .output()
-            .expect("run repro");
+        );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "shares {shares}: {stderr}");
         assert!(
@@ -40,5 +46,30 @@ fn zero_share_system_scenario_exits_1_with_the_message() {
             "shares {shares}: {stderr}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Finite shares whose sum overflows exit 1 with the validation message,
+/// instead of running a game whose normalized stakes are all zero.
+#[test]
+fn overflowing_share_total_exits_1_with_the_message() {
+    let dir = std::env::temp_dir().join("fairness-bench-repro-share-overflow");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = run_scenario(
+        &dir,
+        "overflow.scn",
+        "scenario \"overflow\" {\n\
+         \x20 protocol = ml-pos(w = 0.01)\n\
+         \x20 shares = [1e308, 1e308]\n\
+         \x20 checkpoints = linear(100, 5)\n\
+         }\n",
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("shares must sum to a finite total"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,7 +16,6 @@
 use super::{check_inputs, total_stake, MinerProfile};
 use crate::account::proportional_split;
 use crate::hash::{Hash256, HashBuilder};
-use rand::RngCore;
 
 /// C-PoS epoch engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,10 +103,7 @@ impl CPosEngine {
     }
 
     /// Runs one epoch: selects `P` shard proposers and computes exact
-    /// reward portions.
-    ///
-    /// The RNG parameter is unused (the lottery is beacon-driven) but kept
-    /// for interface symmetry with [`super::BlockLottery`].
+    /// reward portions. The lottery is beacon-driven, so it takes no RNG.
     #[must_use]
     pub fn run_epoch(
         &self,
@@ -115,7 +111,6 @@ impl CPosEngine {
         epoch: u64,
         miners: &[MinerProfile],
         stakes: &[u64],
-        _rng: &mut dyn RngCore,
     ) -> EpochOutcome {
         check_inputs(miners, stakes);
         let m = miners.len();
@@ -147,7 +142,6 @@ impl CPosEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairness_stats::rng::Xoshiro256StarStar;
 
     fn miners(n: usize) -> Vec<MinerProfile> {
         (0..n).map(|i| MinerProfile::new(i, 0)).collect()
@@ -162,8 +156,7 @@ mod tests {
         let engine = CPosEngine::new(32, 1_000, 10_000);
         let ms = miners(3);
         let stakes = vec![200_000, 300_000, 500_000];
-        let mut rng = Xoshiro256StarStar::new(1);
-        let out = engine.run_epoch(&Hash256::ZERO, 0, &ms, &stakes, &mut rng);
+        let out = engine.run_epoch(&Hash256::ZERO, 0, &ms, &stakes);
         assert_eq!(out.shard_proposers.len(), 32);
         assert_eq!(out.rewards.iter().sum::<u64>(), 11_000);
         assert_eq!(out.proposer_portion.iter().sum::<u64>(), 1_000);
@@ -175,8 +168,7 @@ mod tests {
         let engine = CPosEngine::new(4, 0, 1_000);
         let ms = miners(2);
         let stakes = vec![200, 800];
-        let mut rng = Xoshiro256StarStar::new(2);
-        let out = engine.run_epoch(&Hash256::ZERO, 0, &ms, &stakes, &mut rng);
+        let out = engine.run_epoch(&Hash256::ZERO, 0, &ms, &stakes);
         assert_eq!(out.attester_portion, vec![200, 800]);
     }
 
@@ -185,12 +177,11 @@ mod tests {
         let ms = miners(2);
         let stakes = vec![200, 800];
         let engine = CPosEngine::new(32, 32, 0);
-        let mut rng = Xoshiro256StarStar::new(3);
         let mut prev = Hash256::ZERO;
         let mut a_blocks = 0u64;
         let epochs = 1000u64;
         for e in 0..epochs {
-            let out = engine.run_epoch(&prev, e, &ms, &stakes, &mut rng);
+            let out = engine.run_epoch(&prev, e, &ms, &stakes);
             a_blocks += out.shard_proposers.iter().filter(|&&w| w == 0).count() as u64;
             prev = chain_hash(&prev, e);
         }
@@ -212,10 +203,9 @@ mod tests {
         let engine = CPosEngine::new(16, 160, 1600);
         let ms = miners(3);
         let stakes = vec![0, 500, 500];
-        let mut rng = Xoshiro256StarStar::new(4);
         let mut prev = Hash256::ZERO;
         for e in 0..50 {
-            let out = engine.run_epoch(&prev, e, &ms, &stakes, &mut rng);
+            let out = engine.run_epoch(&prev, e, &ms, &stakes);
             assert!(out.shard_proposers.iter().all(|&w| w != 0));
             assert_eq!(out.attester_portion[0], 0);
             prev = chain_hash(&prev, e);
@@ -227,8 +217,7 @@ mod tests {
         let engine = CPosEngine::new(1, 100, 0);
         let ms = miners(2);
         let stakes = vec![1, 1];
-        let mut rng = Xoshiro256StarStar::new(5);
-        let out = engine.run_epoch(&Hash256::ZERO, 0, &ms, &stakes, &mut rng);
+        let out = engine.run_epoch(&Hash256::ZERO, 0, &ms, &stakes);
         assert_eq!(out.shard_proposers.len(), 1);
         let winner = out.shard_proposers[0];
         assert_eq!(out.proposer_portion[winner], 100);

@@ -14,7 +14,7 @@
 
 use super::{check_inputs, total_stake, BlockLottery, LotteryOutcome, MinerProfile};
 use crate::hash::{Hash256, HashBuilder};
-use rand::RngCore;
+use fairness_stats::rng::Xoshiro256StarStar;
 
 /// FSL-PoS engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,20 +56,20 @@ impl FslPosEngine {
         // ln1p for numerical accuracy near u = 0.
         self.basetime * (-(-u).ln_1p()) / stake as f64
     }
-}
 
-impl BlockLottery for FslPosEngine {
-    fn name(&self) -> &'static str {
-        "fsl-pos"
-    }
-
-    fn run(
+    /// Runs the lottery for the block after `prev`: the smallest waiting
+    /// time wins. Fully deterministic given `prev` (no RNG), so
+    /// verification replays it.
+    ///
+    /// # Panics
+    /// Panics if `stakes` length differs from `miners` or total stake is
+    /// zero.
+    #[must_use]
+    pub fn lottery(
         &self,
         prev: &Hash256,
-        _height: u64,
         miners: &[MinerProfile],
         stakes: &[u64],
-        _rng: &mut dyn RngCore,
     ) -> LotteryOutcome {
         check_inputs(miners, stakes);
         assert!(
@@ -103,11 +103,28 @@ impl BlockLottery for FslPosEngine {
                 .finish(),
         }
     }
+}
+
+impl BlockLottery for FslPosEngine {
+    fn name(&self) -> &'static str {
+        "fsl-pos"
+    }
+
+    fn run(
+        &self,
+        prev: &Hash256,
+        _height: u64,
+        miners: &[MinerProfile],
+        stakes: &[u64],
+        _rng: &mut Xoshiro256StarStar,
+    ) -> LotteryOutcome {
+        self.lottery(prev, miners, stakes)
+    }
 
     fn verify(
         &self,
         prev: &Hash256,
-        height: u64,
+        _height: u64,
         miners: &[MinerProfile],
         stakes: &[u64],
         outcome: &LotteryOutcome,
@@ -115,8 +132,7 @@ impl BlockLottery for FslPosEngine {
         if outcome.winner >= miners.len() {
             return false;
         }
-        let mut throwaway = super::NoRng;
-        let expect = self.run(prev, height, miners, stakes, &mut throwaway);
+        let expect = self.lottery(prev, miners, stakes);
         expect.winner == outcome.winner && expect.proof_hash == outcome.proof_hash
     }
 }
@@ -124,7 +140,6 @@ impl BlockLottery for FslPosEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairness_stats::rng::Xoshiro256StarStar;
 
     fn miners(n: usize) -> Vec<MinerProfile> {
         (0..n).map(|i| MinerProfile::new(i, 0)).collect()

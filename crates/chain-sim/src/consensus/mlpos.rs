@@ -11,8 +11,7 @@
 use super::{check_inputs, total_stake, BlockLottery, LotteryOutcome, MinerProfile};
 use crate::hash::{Hash256, HashBuilder, HashMidstate};
 use crate::u256::U256;
-use rand::Rng as _;
-use rand::RngCore;
+use fairness_stats::rng::Xoshiro256StarStar;
 
 /// ML-PoS engine parameterized by the per-stake-atom difficulty `D`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +120,7 @@ impl BlockLottery for MlPosEngine {
         _height: u64,
         miners: &[MinerProfile],
         stakes: &[u64],
-        rng: &mut dyn RngCore,
+        rng: &mut Xoshiro256StarStar,
     ) -> LotteryOutcome {
         check_inputs(miners, stakes);
         assert!(
@@ -161,7 +160,7 @@ impl BlockLottery for MlPosEngine {
                 let pick = if winners.len() == 1 {
                     0
                 } else {
-                    rng.gen_range(0..winners.len())
+                    rng.gen_range(0..winners.len() as u64) as usize
                 };
                 let (winner, kernel) = winners[pick];
                 return LotteryOutcome {
@@ -200,7 +199,6 @@ impl BlockLottery for MlPosEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairness_stats::rng::Xoshiro256StarStar;
 
     fn miners(n: usize) -> Vec<MinerProfile> {
         (0..n).map(|i| MinerProfile::new(i, 0)).collect()

@@ -29,7 +29,7 @@ pub use slpos::SlPosEngine;
 
 use crate::account::Address;
 use crate::hash::{Hash256, HashBuilder};
-use rand::RngCore;
+use fairness_stats::rng::Xoshiro256StarStar;
 
 /// A participating miner's identity and fixed attributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +76,9 @@ pub struct LotteryOutcome {
 ///
 /// Engines draw all randomness from the previous block hash (like real
 /// chains) plus, where the physical protocol is randomized (PoW nonce
-/// starting points, ML-PoS tie-breaking), from the supplied RNG.
+/// starting points, ML-PoS tie-breaking), from the supplied RNG. SL-PoS
+/// and FSL-PoS never touch it: their lotteries are inherent methods that
+/// take no RNG, and `run` delegates to them.
 pub trait BlockLottery {
     /// Engine name for reports.
     fn name(&self) -> &'static str;
@@ -93,7 +95,7 @@ pub trait BlockLottery {
         height: u64,
         miners: &[MinerProfile],
         stakes: &[u64],
-        rng: &mut dyn RngCore,
+        rng: &mut Xoshiro256StarStar,
     ) -> LotteryOutcome;
 
     /// Verifies that `outcome` is a valid win for `winner` under this
@@ -106,26 +108,6 @@ pub trait BlockLottery {
         stakes: &[u64],
         outcome: &LotteryOutcome,
     ) -> bool;
-}
-
-/// An RNG that panics on use. Deterministic lotteries (SL-PoS, FSL-PoS)
-/// re-run themselves during verification with this to assert they draw no
-/// randomness beyond the chain state.
-pub(crate) struct NoRng;
-
-impl RngCore for NoRng {
-    fn next_u32(&mut self) -> u32 {
-        unreachable!("deterministic lottery must not consume RNG output")
-    }
-    fn next_u64(&mut self) -> u64 {
-        unreachable!("deterministic lottery must not consume RNG output")
-    }
-    fn fill_bytes(&mut self, _dest: &mut [u8]) {
-        unreachable!("deterministic lottery must not consume RNG output")
-    }
-    fn try_fill_bytes(&mut self, _dest: &mut [u8]) -> Result<(), rand::Error> {
-        unreachable!("deterministic lottery must not consume RNG output")
-    }
 }
 
 pub(crate) fn check_inputs(miners: &[MinerProfile], stakes: &[u64]) {

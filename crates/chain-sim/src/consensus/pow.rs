@@ -11,7 +11,7 @@
 use super::{check_inputs, BlockLottery, LotteryOutcome, MinerProfile};
 use crate::hash::{Hash256, HashBuilder, HashMidstate};
 use crate::u256::U256;
-use rand::RngCore;
+use fairness_stats::rng::Xoshiro256StarStar;
 
 /// PoW engine parameterized by a difficulty target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +93,7 @@ impl PowEngine {
         tips: &[Hash256],
         miners: &[MinerProfile],
         stakes: &[u64],
-        rng: &mut dyn RngCore,
+        rng: &mut Xoshiro256StarStar,
     ) -> LotteryOutcome {
         check_inputs(miners, stakes);
         assert_eq!(
@@ -107,7 +107,7 @@ impl PowEngine {
         );
         // Each miner starts from a random nonce offset (real miners pick
         // random extraNonce ranges), then scans sequentially.
-        let mut cursors: Vec<u64> = miners.iter().map(|_| rng.next_u64()).collect();
+        let mut cursors: Vec<u64> = miners.iter().map(|_| rng.next()).collect();
         // The trial prefix (tip, pubkey) is fixed for the whole race:
         // absorb it once per miner and grind every nonce from the
         // midstate — same digests, one compression per candidate.
@@ -165,7 +165,7 @@ impl BlockLottery for PowEngine {
         _height: u64,
         miners: &[MinerProfile],
         stakes: &[u64],
-        rng: &mut dyn RngCore,
+        rng: &mut Xoshiro256StarStar,
     ) -> LotteryOutcome {
         let tips = vec![*prev; miners.len()];
         self.run_on_tips(&tips, miners, stakes, rng)
@@ -191,7 +191,6 @@ impl BlockLottery for PowEngine {
 mod tests {
     use super::*;
     use crate::difficulty::target_for_expected_interval;
-    use fairness_stats::rng::Xoshiro256StarStar;
 
     fn miners(rates: &[u64]) -> Vec<MinerProfile> {
         rates

@@ -15,7 +15,7 @@
 
 use super::{check_inputs, total_stake, BlockLottery, LotteryOutcome, MinerProfile};
 use crate::hash::{Hash256, HashBuilder};
-use rand::RngCore;
+use fairness_stats::rng::Xoshiro256StarStar;
 
 /// SL-PoS engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +140,7 @@ impl BlockLottery for SlPosEngine {
         _height: u64,
         miners: &[MinerProfile],
         stakes: &[u64],
-        _rng: &mut dyn RngCore,
+        _rng: &mut Xoshiro256StarStar,
     ) -> LotteryOutcome {
         let tips = vec![*prev; miners.len()];
         self.run_on_tips(&tips, miners, stakes)
@@ -149,7 +149,7 @@ impl BlockLottery for SlPosEngine {
     fn verify(
         &self,
         prev: &Hash256,
-        height: u64,
+        _height: u64,
         miners: &[MinerProfile],
         stakes: &[u64],
         outcome: &LotteryOutcome,
@@ -158,8 +158,7 @@ impl BlockLottery for SlPosEngine {
             return false;
         }
         // Re-run the deterministic lottery and compare.
-        let mut throwaway = super::NoRng;
-        let expect = self.run(prev, height, miners, stakes, &mut throwaway);
+        let expect = self.run_on_tips(&vec![*prev; miners.len()], miners, stakes);
         expect.winner == outcome.winner && expect.proof_hash == outcome.proof_hash
     }
 }
@@ -167,7 +166,6 @@ impl BlockLottery for SlPosEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairness_stats::rng::Xoshiro256StarStar;
 
     fn miners(n: usize) -> Vec<MinerProfile> {
         (0..n).map(|i| MinerProfile::new(i, 0)).collect()

@@ -10,7 +10,7 @@
 use super::network::{CPosSim, Engine, NetworkConfig, NetworkSim};
 use crate::consensus::{CPosEngine, FslPosEngine, MlPosEngine, PowEngine, SlPosEngine};
 use crate::difficulty::target_for_expected_interval;
-use rand::RngCore;
+use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Which protocol an experiment exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -177,7 +177,10 @@ pub struct ExperimentOutcome {
 /// # Panics
 /// Panics if checkpoints are not ascending or exceed the horizon.
 #[must_use]
-pub fn run_experiment(config: &ExperimentConfig, rng: &mut dyn RngCore) -> ExperimentOutcome {
+pub fn run_experiment(
+    config: &ExperimentConfig,
+    rng: &mut Xoshiro256StarStar,
+) -> ExperimentOutcome {
     assert!(
         config.checkpoints.windows(2).all(|w| w[0] < w[1]),
         "checkpoints must be strictly ascending"
@@ -190,7 +193,7 @@ pub fn run_experiment(config: &ExperimentConfig, rng: &mut dyn RngCore) -> Exper
         "checkpoints must not exceed the horizon"
     );
     match config.protocol {
-        ProtocolKind::CPos => run_cpos(config, rng),
+        ProtocolKind::CPos => run_cpos(config),
         _ => run_block_lottery(config, rng),
     }
 }
@@ -212,7 +215,7 @@ fn build_engine(config: &ExperimentConfig) -> Engine {
     }
 }
 
-fn run_block_lottery(config: &ExperimentConfig, rng: &mut dyn RngCore) -> ExperimentOutcome {
+fn run_block_lottery(config: &ExperimentConfig, rng: &mut Xoshiro256StarStar) -> ExperimentOutcome {
     let net_config = NetworkConfig {
         engine: build_engine(config),
         initial_stakes: config.initial_stakes.clone(),
@@ -243,13 +246,13 @@ fn run_block_lottery(config: &ExperimentConfig, rng: &mut dyn RngCore) -> Experi
     }
 }
 
-fn run_cpos(config: &ExperimentConfig, rng: &mut dyn RngCore) -> ExperimentOutcome {
+fn run_cpos(config: &ExperimentConfig) -> ExperimentOutcome {
     let engine = CPosEngine::new(config.shards, config.block_reward, config.attester_reward);
     let mut sim = CPosSim::new(engine, &config.initial_stakes, 384);
     let mut series = Vec::with_capacity(config.checkpoints.len());
     let mut next_checkpoint = 0usize;
     for epoch in 1..=config.horizon {
-        sim.step_epoch(rng);
+        sim.step_epoch();
         if next_checkpoint < config.checkpoints.len()
             && epoch == config.checkpoints[next_checkpoint]
         {
@@ -270,7 +273,6 @@ fn run_cpos(config: &ExperimentConfig, rng: &mut dyn RngCore) -> ExperimentOutco
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairness_stats::rng::Xoshiro256StarStar;
 
     #[test]
     fn default_checkpoints_shape() {

@@ -26,13 +26,13 @@
 //! and reorg-capable ledger replay is out of scope for this harness.
 
 use crate::block::Block;
-use crate::consensus::{MinerProfile, NoRng};
+use crate::consensus::MinerProfile;
 use crate::hash::Hash256;
 use crate::sim::network::Engine;
 use crate::transaction::Transaction;
 use crate::u256::U256;
 use fairness_core::adversary::{ForkAction, ForkEvent, ForkState, Strategy};
-use rand::RngCore;
+use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Configuration of a fork-aware adversarial network. Miner 0 is the
 /// strategic miner; everyone else follows the longest published chain.
@@ -229,18 +229,18 @@ impl<S: Strategy> ForkNetSim<S> {
             )
         };
         let tries = self.strategy.grinding_tries();
-        if tries <= 1 || !matches!(self.engine, Engine::SlPos(_)) {
-            return assemble(base_nonce);
-        }
+        let engine = match &self.engine {
+            Engine::SlPos(engine) if tries > 1 => engine,
+            _ => return assemble(base_nonce),
+        };
         let mut next_stakes = self.stakes.clone();
         next_stakes[0] += self.block_reward;
         let mut candidate = assemble(0);
         for nonce in 1..u64::from(tries) {
-            let next = self.engine.run_on_tips(
+            let next = engine.run_on_tips(
                 &vec![candidate.hash(); self.miners.len()],
                 &self.miners,
                 &next_stakes,
-                &mut NoRng,
             );
             if next.winner == 0 {
                 break;
@@ -252,7 +252,7 @@ impl<S: Strategy> ForkNetSim<S> {
 
     /// Runs one network-wide block race and applies the strategy's
     /// response. Returns the index of the miner who found the block.
-    pub fn step_block(&mut self, rng: &mut dyn RngCore) -> usize {
+    pub fn step_block(&mut self, rng: &mut Xoshiro256StarStar) -> usize {
         let m = self.miners.len();
         let tie = self.tie_race();
         let gamma = self.strategy.gamma();
@@ -266,7 +266,7 @@ impl<S: Strategy> ForkNetSim<S> {
         if tie && gamma > 0.0 {
             let attacker_tip = tips[0];
             for i in 1..m {
-                let u = rng.next_u64() as f64 / (u64::MAX as f64);
+                let u = rng.next() as f64 / (u64::MAX as f64);
                 if u < gamma {
                     tips[i] = attacker_tip;
                     on_private[i] = true;
@@ -326,7 +326,7 @@ impl<S: Strategy> ForkNetSim<S> {
     }
 
     /// Runs `n` block races.
-    pub fn run_blocks(&mut self, n: u64, rng: &mut dyn RngCore) {
+    pub fn run_blocks(&mut self, n: u64, rng: &mut Xoshiro256StarStar) {
         for _ in 0..n {
             self.step_block(rng);
         }
@@ -410,7 +410,6 @@ mod tests {
     use fairness_core::adversary::{Honest, SelfishMining, StakeGrinding};
     use fairness_core::theory::slpos::win_probability_two_miner;
     use fairness_stats::dist::{selfish_mining_relative_revenue, stake_grinding_win_probability};
-    use fairness_stats::rng::Xoshiro256StarStar;
 
     fn pow_config(rates: Vec<u64>, interval: u64) -> ForkNetConfig {
         let total: u64 = rates.iter().sum();

@@ -20,7 +20,7 @@ use crate::hash::Hash256;
 use crate::mempool::Mempool;
 use crate::transaction::{Transaction, TxKind};
 use crate::u256::U256;
-use rand::{Rng, RngCore};
+use fairness_stats::rng::Xoshiro256StarStar;
 
 /// A block-lottery engine selection.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ impl Engine {
         tips: &[Hash256],
         miners: &[MinerProfile],
         stakes: &[u64],
-        rng: &mut dyn RngCore,
+        rng: &mut Xoshiro256StarStar,
     ) -> crate::consensus::LotteryOutcome {
         match self {
             Engine::Pow(e) => e.run_on_tips(tips, miners, stakes, rng),
@@ -153,7 +153,7 @@ impl NetworkSim {
     /// # Panics
     /// Panics if no miners are configured.
     #[must_use]
-    pub fn new(config: NetworkConfig, rng: &mut dyn RngCore) -> Self {
+    pub fn new(config: NetworkConfig, rng: &mut Xoshiro256StarStar) -> Self {
         let m = config.miner_count();
         assert!(m > 0, "network needs at least one miner");
         let miners: Vec<MinerProfile> = (0..m)
@@ -243,14 +243,14 @@ impl NetworkSim {
     }
 
     /// Drains due user-traffic events into the mempool.
-    fn pump_traffic(&mut self, rng: &mut dyn RngCore) {
+    fn pump_traffic(&mut self, rng: &mut Xoshiro256StarStar) {
         while self.events.peek_time().is_some_and(|t| t <= self.clock) {
             let (_, event) = self.events.pop().expect("peeked event");
             match event {
                 NetEvent::TxArrival { user } => {
                     let from = self.users[user];
-                    let to = self.users
-                        [(user + 1 + rng.gen_range(0..self.users.len() - 1)) % self.users.len()];
+                    let offset = rng.gen_range(0..self.users.len() as u64 - 1) as usize;
+                    let to = self.users[(user + 1 + offset) % self.users.len()];
                     let amount = rng.gen_range(1..100u64);
                     if self.ledger.balance(&from) > amount {
                         self.mempool.push(from, to, amount, self.user_nonces[user]);
@@ -270,7 +270,7 @@ impl NetworkSim {
     /// # Panics
     /// Panics if internal consistency is violated (a bug, not an input
     /// error) — e.g. a self-produced block failing validation.
-    pub fn step_block(&mut self, rng: &mut dyn RngCore) {
+    pub fn step_block(&mut self, rng: &mut Xoshiro256StarStar) {
         let prev = self.chain.tip_hash();
         let height = self.chain.height() + 1;
         let outcome =
@@ -366,7 +366,7 @@ impl NetworkSim {
     }
 
     /// Mines `n` blocks.
-    pub fn run_blocks(&mut self, n: u64, rng: &mut dyn RngCore) {
+    pub fn run_blocks(&mut self, n: u64, rng: &mut Xoshiro256StarStar) {
         for _ in 0..n {
             self.step_block(rng);
         }
@@ -458,11 +458,12 @@ impl CPosSim {
     }
 
     /// Runs one epoch: shard lotteries, shard blocks, exact reward split.
-    pub fn step_epoch(&mut self, rng: &mut dyn RngCore) -> EpochOutcome {
+    /// The lotteries are beacon-driven, so an epoch draws no randomness.
+    pub fn step_epoch(&mut self) -> EpochOutcome {
         let prev = self.chain.tip_hash();
         let outcome = self
             .engine
-            .run_epoch(&prev, self.epoch, &self.miners, &self.stakes, rng);
+            .run_epoch(&prev, self.epoch, &self.miners, &self.stakes);
         self.clock += self.epoch_ticks;
         // One block per shard; rewards are settled at epoch end below, so
         // shard blocks carry no coinbase (Ethereum 2.0 separates issuance).
@@ -497,9 +498,9 @@ impl CPosSim {
     }
 
     /// Runs `n` epochs.
-    pub fn run_epochs(&mut self, n: u64, rng: &mut dyn RngCore) {
+    pub fn run_epochs(&mut self, n: u64) {
         for _ in 0..n {
-            self.step_epoch(rng);
+            self.step_epoch();
         }
     }
 }
@@ -511,7 +512,6 @@ pub type NetworkError = ChainError;
 mod tests {
     use super::*;
     use crate::difficulty::target_for_expected_interval;
-    use fairness_stats::rng::Xoshiro256StarStar;
 
     fn mlpos_config(stakes: Vec<u64>, reward: u64) -> NetworkConfig {
         let total: u64 = stakes.iter().sum();
@@ -636,8 +636,7 @@ mod tests {
     fn cpos_sim_epoch_accounting() {
         let engine = CPosEngine::new(32, 1_000, 10_000);
         let mut sim = CPosSim::new(engine, &[200_000, 800_000], 384);
-        let mut rng = Xoshiro256StarStar::new(5);
-        sim.run_epochs(20, &mut rng);
+        sim.run_epochs(20);
         assert_eq!(sim.epoch(), 20);
         // 32 shard blocks per epoch.
         assert_eq!(sim.chain().height(), 20 * 32);
@@ -652,8 +651,7 @@ mod tests {
     fn cpos_reward_fraction_near_stake_share() {
         let engine = CPosEngine::new(32, 1_000, 10_000);
         let mut sim = CPosSim::new(engine, &[200_000, 800_000], 384);
-        let mut rng = Xoshiro256StarStar::new(6);
-        sim.run_epochs(200, &mut rng);
+        sim.run_epochs(200);
         let f = sim.reward_fraction(0);
         // Inflation-dominated: should be near 0.2 quickly.
         assert!((f - 0.2).abs() < 0.05, "fraction {f}");

@@ -1,10 +1,12 @@
 //! Miner resource shares and normalization helpers (Assumption 2).
 
+use fairness_stats::rng::Xoshiro256StarStar;
+
 /// Validates and normalizes a share vector so it sums to exactly 1.
 ///
 /// # Panics
 /// Panics if `shares` is empty, contains a non-finite or negative entry, or
-/// sums to zero.
+/// sums to zero or past `f64::MAX`.
 #[must_use]
 pub fn normalize_shares(shares: &[f64]) -> Vec<f64> {
     assert!(!shares.is_empty(), "share vector must be non-empty");
@@ -16,6 +18,7 @@ pub fn normalize_shares(shares: &[f64]) -> Vec<f64> {
     }
     let total: f64 = shares.iter().sum();
     assert!(total > 0.0, "shares must not all be zero");
+    assert!(total.is_finite(), "shares must sum to a finite total");
     shares.iter().map(|&s| s / total).collect()
 }
 
@@ -74,11 +77,11 @@ pub fn zipf_shares(m: usize, exponent: f64) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics if `weights` is empty or sums to zero.
-pub fn sample_categorical<R: rand::Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
+pub fn sample_categorical(weights: &[f64], rng: &mut Xoshiro256StarStar) -> usize {
     assert!(!weights.is_empty(), "categorical needs weights");
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "categorical weights must not all be zero");
-    let mut point = rng.gen::<f64>() * total;
+    let mut point = rng.next_f64() * total;
     for (i, &w) in weights.iter().enumerate() {
         if point < w {
             return i;
@@ -95,7 +98,6 @@ pub fn sample_categorical<R: rand::Rng + ?Sized>(weights: &[f64], rng: &mut R) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairness_stats::rng::Xoshiro256StarStar;
 
     #[test]
     fn normalize_basics() {
@@ -198,5 +200,11 @@ mod tests {
     #[should_panic(expected = "must not all be zero")]
     fn normalize_rejects_zeros() {
         let _ = normalize_shares(&[0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite total")]
+    fn normalize_rejects_an_overflowing_total() {
+        let _ = normalize_shares(&[1e308, 1e308]);
     }
 }

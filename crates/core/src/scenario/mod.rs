@@ -195,6 +195,9 @@ pub enum ValidationError {
     BadShare,
     /// Shares sum to zero (no resource in the population).
     ZeroShareTotal,
+    /// Shares are finite, but their sum overflows `f64` (normalizing
+    /// would divide every share by infinity).
+    ShareTotalOverflow,
     /// A Zipf population with zero miners.
     ZipfEmptyPopulation,
     /// A Zipf exponent that is negative, NaN or infinite.
@@ -234,6 +237,7 @@ impl ValidationError {
             ValidationError::EmptyShares => "empty-shares",
             ValidationError::BadShare => "bad-share",
             ValidationError::ZeroShareTotal => "zero-share-total",
+            ValidationError::ShareTotalOverflow => "share-total-overflow",
             ValidationError::ZipfEmptyPopulation => "zipf-empty-population",
             ValidationError::ZipfBadExponent { .. } => "zipf-bad-exponent",
             ValidationError::EmptyCheckpoints => "empty-checkpoints",
@@ -263,6 +267,9 @@ impl fmt::Display for ValidationError {
             ValidationError::EmptyShares => write!(f, "shares must be non-empty"),
             ValidationError::BadShare => write!(f, "shares must be finite and non-negative"),
             ValidationError::ZeroShareTotal => write!(f, "shares must sum to a positive total"),
+            ValidationError::ShareTotalOverflow => {
+                write!(f, "shares must sum to a finite total")
+            }
             ValidationError::ZipfEmptyPopulation => {
                 write!(f, "zipf shares need at least one miner")
             }
@@ -514,8 +521,12 @@ impl ScenarioSpec {
                 if !shares.iter().all(|s| s.is_finite() && *s >= 0.0) {
                     return Err(ValidationError::BadShare);
                 }
-                if shares.iter().sum::<f64>() <= 0.0 {
+                let total = shares.iter().sum::<f64>();
+                if total <= 0.0 {
                     return Err(ValidationError::ZeroShareTotal);
+                }
+                if !total.is_finite() {
+                    return Err(ValidationError::ShareTotalOverflow);
                 }
             }
             SharesSpec::Zipf { count, exponent } => {
@@ -898,6 +909,11 @@ mod tests {
             (
                 "zero-share-total",
                 Box::new(|s| s.shares = SharesSpec::Empirical(vec![0.0, 0.0])),
+            ),
+            (
+                // Each share is finite; their sum is not.
+                "share-total-overflow",
+                Box::new(|s| s.shares = SharesSpec::Explicit(vec![1e308, 1e308])),
             ),
             (
                 "zipf-empty-population",

@@ -1,9 +1,10 @@
 //! Property tests for the scenario text format and registry: randomly
 //! generated specs must (1) print to text that parses back to the *same*
 //! value (`parse(print(spec)) == spec`), (2) keep their fingerprint across
-//! the round-trip, and (3) construct through the protocol registry.
+//! the round-trip, (3) construct through the protocol registry, and
+//! (4) normalize to a share vector summing to 1 whenever they validate.
 
-use fairness_core::miner::two_miner;
+use fairness_core::miner::{normalize_shares, two_miner};
 use fairness_core::registry;
 use fairness_core::scenario::text::parse_scenarios;
 use fairness_core::scenario::{
@@ -112,7 +113,43 @@ fn scenario(
     builder.build()
 }
 
+/// A non-negative share from one of four magnitude classes: zero, a
+/// subnormal, a finite number of any exponent, or one within a factor of
+/// two of `f64::MAX` (two of those overflow the sum).
+fn share(class: u8, bits: u64) -> f64 {
+    let mantissa = bits & ((1 << 52) - 1);
+    match class {
+        0..=3 => 0.0,
+        4..=7 => f64::from_bits(mantissa),
+        8..=14 => f64::from_bits((((bits >> 52) % 0x7FF) << 52) | mantissa),
+        _ => f64::from_bits((0x7FE << 52) | mantissa),
+    }
+}
+
 proptest! {
+    #[test]
+    fn validated_shares_normalize_to_one(
+        entries in proptest::collection::vec((0u8..16, any::<u64>()), 1..41),
+        empirical in any::<bool>(),
+    ) {
+        let shares: Vec<f64> = entries.iter().map(|&(class, bits)| share(class, bits)).collect();
+        let mut spec = ScenarioSpec::builder("shares", ProtocolSpec::new("ml-pos").with("w", 0.01))
+            .two_miner(0.5)
+            .linear(100, 5)
+            .build();
+        spec.shares = if empirical {
+            SharesSpec::Empirical(shares)
+        } else {
+            SharesSpec::Explicit(shares)
+        };
+        if spec.validate().is_ok() {
+            let normalized = normalize_shares(&spec.initial_shares());
+            prop_assert!(normalized.iter().all(|s| s.is_finite()), "{:?}", spec.shares);
+            let sum: f64 = normalized.iter().sum();
+            prop_assert!((sum - 1.0).abs() <= 1e-12, "sum {} for {:?}", sum, spec.shares);
+        }
+    }
+
     #[test]
     fn parse_print_round_trips_and_preserves_fingerprints(
         selector in 0u8..8,

@@ -359,35 +359,27 @@ fn backpressure_and_routing_errors() {
 /// its typed code before any job is queued. The daemon keeps serving: a
 /// valid batch with a cross-check posted next completes, and a drain
 /// still stops it cleanly.
-#[test]
-fn zero_share_system_is_refused_and_the_daemon_drains() {
-    let dir = std::env::temp_dir().join("fairness-serve-zero-share");
+/// Posts each `refused` body and expects a 400 carrying its validation
+/// code, then expects `valid` to complete and `/admin/drain` to stop the
+/// server: a refused body must not wedge the executor.
+fn refuses_then_serves(dir: &str, with_system: bool, refused: &[(String, &str)], valid: &str) {
+    let dir = std::env::temp_dir().join(dir);
     let _ = std::fs::remove_dir_all(&dir);
     let mut opts = test_opts(&dir);
-    opts.with_system = true;
+    opts.with_system = with_system;
     opts.disk_cache = false;
     let server = Server::bind("127.0.0.1:0", opts).expect("bind");
     let (addr, run) = spawn(&server, || false);
-    let batch = |shares: &str| {
-        format!(
-            "scenario \"system check\" {{\n\
-             \x20 protocol = pow(w = 0.01)\n\
-             \x20 shares = {shares}\n\
-             \x20 checkpoints = linear(100, 5)\n\
-             \x20 system = pow(horizon = 50, salt = 7)\n\
-             }}\n"
-        )
-    };
 
-    for zero in ["[0.0, 1.0]", "[1.0, 0.0]"] {
-        let (status, body) = request(addr, "POST", "/v1/scenarios", &batch(zero));
-        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    for (body, code) in refused {
+        let (status, response) = request(addr, "POST", "/v1/scenarios", body);
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{response}");
         assert!(
-            body.contains("\"code\":\"system-needs-positive-shares\""),
-            "{body}"
+            response.contains(&format!("\"code\":\"{code}\"")),
+            "{response}"
         );
     }
-    let (status, body) = request(addr, "POST", "/v1/scenarios", &batch("[0.3, 0.7]"));
+    let (status, body) = request(addr, "POST", "/v1/scenarios", valid);
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(
         body.lines()
@@ -406,4 +398,44 @@ fn zero_share_system_is_refused_and_the_daemon_drains() {
     stopped(&run);
     assert_eq!(server.service().metrics().jobs_completed, 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_share_system_is_refused_and_the_daemon_drains() {
+    let batch = |shares: &str| {
+        format!(
+            "scenario \"system check\" {{\n\
+             \x20 protocol = pow(w = 0.01)\n\
+             \x20 shares = {shares}\n\
+             \x20 checkpoints = linear(100, 5)\n\
+             \x20 system = pow(horizon = 50, salt = 7)\n\
+             }}\n"
+        )
+    };
+    let code = "system-needs-positive-shares";
+    refuses_then_serves(
+        "fairness-serve-zero-share",
+        true,
+        &[(batch("[0.0, 1.0]"), code), (batch("[1.0, 0.0]"), code)],
+        &batch("[0.3, 0.7]"),
+    );
+}
+
+#[test]
+fn overflowing_share_total_is_refused_and_the_daemon_drains() {
+    let batch = |shares: &str| {
+        format!(
+            "scenario \"overflow\" {{\n\
+             \x20 protocol = ml-pos(w = 0.01)\n\
+             \x20 shares = {shares}\n\
+             \x20 checkpoints = linear(100, 5)\n\
+             }}\n"
+        )
+    };
+    refuses_then_serves(
+        "fairness-serve-share-overflow",
+        false,
+        &[(batch("[1e308, 1e308]"), "share-total-overflow")],
+        &batch("[0.3, 0.7]"),
+    );
 }

@@ -15,8 +15,8 @@
 //! * the `*_race_*` helpers — closed forms for "who hits first" lotteries
 //!   used to cross-check the consensus engines.
 
+use crate::rng::Xoshiro256StarStar;
 use crate::special::{erf, ln_gamma, reg_inc_beta, reg_lower_gamma};
-use rand::Rng;
 
 /// A real-valued distribution: analytic density/CDF plus a sampler.
 pub trait ContinuousDistribution {
@@ -29,7 +29,7 @@ pub trait ContinuousDistribution {
     /// Variance.
     fn variance(&self) -> f64;
     /// Draw one value.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64;
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> f64;
 }
 
 /// A distribution over non-negative integers: analytic pmf/CDF plus a
@@ -44,13 +44,13 @@ pub trait DiscreteDistribution {
     /// Variance.
     fn variance(&self) -> f64;
     /// Draw one value.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64;
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> u64;
 }
 
 /// Draw a uniform in the open interval `(0, 1)` — safe for logarithms.
-fn open_unit<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn open_unit(rng: &mut Xoshiro256StarStar) -> f64 {
     loop {
-        let u: f64 = rng.gen();
+        let u = rng.next_f64();
         if u > 0.0 {
             return u;
         }
@@ -101,8 +101,8 @@ impl ContinuousDistribution for Uniform {
         let w = self.hi - self.lo;
         w * w / 12.0
     }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.lo + rng.gen::<f64>() * (self.hi - self.lo)
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> f64 {
+        self.lo + rng.next_f64() * (self.hi - self.lo)
     }
 }
 
@@ -158,7 +158,7 @@ impl ContinuousDistribution for Exponential {
     fn variance(&self) -> f64 {
         1.0 / (self.rate * self.rate)
     }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> f64 {
         -open_unit(rng).ln() / self.rate
     }
 }
@@ -223,10 +223,10 @@ impl ContinuousDistribution for Normal {
     fn variance(&self) -> f64 {
         self.sigma * self.sigma
     }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> f64 {
         // Box–Muller.
         let u1 = open_unit(rng);
-        let u2: f64 = rng.gen();
+        let u2 = rng.next_f64();
         let r = (-2.0 * u1.ln()).sqrt();
         self.mu + self.sigma * r * (2.0 * core::f64::consts::PI * u2).cos()
     }
@@ -262,7 +262,7 @@ impl Gamma {
     }
 
     /// Marsaglia–Tsang sampler for shape ≥ 1 on the unit scale.
-    fn sample_unit_scale<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
+    fn sample_unit_scale(shape: f64, rng: &mut Xoshiro256StarStar) -> f64 {
         if shape < 1.0 {
             // Boost: G(k) = G(k+1) · U^{1/k}.
             let g = Self::sample_unit_scale(shape + 1.0, rng);
@@ -306,7 +306,7 @@ impl ContinuousDistribution for Gamma {
     fn variance(&self) -> f64 {
         self.shape * self.scale * self.scale
     }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> f64 {
         self.scale * Self::sample_unit_scale(self.shape, rng)
     }
 }
@@ -383,7 +383,7 @@ impl ContinuousDistribution for Beta {
         let s = self.alpha + self.beta;
         self.alpha * self.beta / (s * s * (s + 1.0))
     }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> f64 {
         let x = Gamma::new(self.alpha, 1.0).sample(rng);
         let y = Gamma::new(self.beta, 1.0).sample(rng);
         x / (x + y)
@@ -433,8 +433,8 @@ impl DiscreteDistribution for Bernoulli {
     fn variance(&self) -> f64 {
         self.p * (1.0 - self.p)
     }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        u64::from(rng.gen::<f64>() < self.p)
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> u64 {
+        u64::from(rng.next_f64() < self.p)
     }
 }
 
@@ -508,12 +508,12 @@ impl DiscreteDistribution for Binomial {
     fn variance(&self) -> f64 {
         self.n as f64 * self.p * (1.0 - self.p)
     }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> u64 {
         // Direct Bernoulli counting: O(n), exact, and n is small wherever
         // the workspace samples (shard counts, per-block trials).
         let mut wins = 0u64;
         for _ in 0..self.n {
-            if rng.gen::<f64>() < self.p {
+            if rng.next_f64() < self.p {
                 wins += 1;
             }
         }
@@ -566,7 +566,7 @@ impl DiscreteDistribution for Geometric {
     fn variance(&self) -> f64 {
         (1.0 - self.p) / (self.p * self.p)
     }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> u64 {
         if self.p >= 1.0 {
             return 1;
         }
@@ -620,7 +620,7 @@ impl DiscreteDistribution for Poisson {
     fn variance(&self) -> f64 {
         self.lambda
     }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> u64 {
         // Inversion by exponential inter-arrival sums in log space, O(λ).
         let mut k = 0u64;
         let mut acc = 0.0f64;
@@ -673,7 +673,7 @@ impl Dirichlet {
     }
 
     /// Draw one point on the simplex (normalized independent Gammas).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> Vec<f64> {
         let draws: Vec<f64> = self
             .alphas
             .iter()
@@ -726,7 +726,7 @@ impl Multinomial {
     }
 
     /// Draw category counts summing to `n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
+    pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> Vec<u64> {
         let mut counts = vec![0u64; self.probs.len()];
         Self::trials_into(self.n, &self.probs, &mut counts, rng);
         counts
@@ -742,12 +742,12 @@ impl Multinomial {
     ///
     /// # Panics
     /// Panics under the same conditions as [`new`](Self::new).
-    pub fn sample_weights_into<R: Rng + ?Sized>(
+    pub fn sample_weights_into(
         n: u64,
         weights: &[f64],
         normalized: &mut Vec<f64>,
         counts: &mut Vec<u64>,
-        rng: &mut R,
+        rng: &mut Xoshiro256StarStar,
     ) {
         assert!(
             weights.len() >= 2,
@@ -770,9 +770,9 @@ impl Multinomial {
 
     /// The shared trial loop: `n` categorical draws over already
     /// normalized probabilities, counted into `counts`.
-    fn trials_into<R: Rng + ?Sized>(n: u64, probs: &[f64], counts: &mut [u64], rng: &mut R) {
+    fn trials_into(n: u64, probs: &[f64], counts: &mut [u64], rng: &mut Xoshiro256StarStar) {
         for _ in 0..n {
-            let mut u: f64 = rng.gen();
+            let mut u = rng.next_f64();
             let mut winner = probs.len() - 1;
             for (i, &p) in probs.iter().enumerate() {
                 if u < p {
@@ -816,7 +816,7 @@ pub fn exponential_race_win(rates: &[f64], i: usize) -> f64 {
 ///
 /// # Panics
 /// Panics under the same conditions as [`exponential_race_win`].
-pub fn sample_exponential_race<R: Rng + ?Sized>(rates: &[f64], rng: &mut R) -> (usize, f64) {
+pub fn sample_exponential_race(rates: &[f64], rng: &mut Xoshiro256StarStar) -> (usize, f64) {
     assert!(!rates.is_empty(), "need at least one racer");
     let mut best: Option<(usize, f64)> = None;
     for (j, &r) in rates.iter().enumerate() {
@@ -1038,7 +1038,6 @@ pub fn fee_lottery_income_share(m: usize, identities: u32, fee: f64, weighted: b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256StarStar;
 
     fn check_moments<D: ContinuousDistribution>(d: &D, seed: u64, tol: f64) {
         let mut rng = Xoshiro256StarStar::new(seed);

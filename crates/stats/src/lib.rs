@@ -5,11 +5,12 @@
 //! Numerical substrate for the blockchain-fairness workspace: everything the
 //! fairness analysis of Huang et al. (SIGMOD 2021, "Do the Rich Get Richer?")
 //! needs from a statistics library, implemented from scratch so that the
-//! reproduction has no numeric dependencies beyond [`rand`]'s traits.
+//! reproduction has no dependencies at all.
 //!
 //! The crate provides:
 //!
-//! * deterministic, splittable random number generation ([`rng`]);
+//! * deterministic, splittable random number generation ([`rng`]); every
+//!   sampler draws from a concrete [`Xoshiro256StarStar`];
 //! * special functions — log-gamma, regularized incomplete beta/gamma, error
 //!   function ([`special`]);
 //! * probability distributions with samplers *and* analytic pmf/pdf/cdf

@@ -148,13 +148,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn deterministic_across_thread_counts() {
         let run = |threads: usize| -> Vec<f64> {
             run_monte_carlo(McConfig::new(64, 42).with_threads(threads), |_i, rng| {
-                rng.gen::<f64>()
+                rng.next_f64()
             })
         };
         let one = run(1);
@@ -184,16 +183,16 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_streams() {
-        let a = run_monte_carlo(McConfig::new(8, 1), |_i, rng| rng.gen::<u64>());
-        let b = run_monte_carlo(McConfig::new(8, 2), |_i, rng| rng.gen::<u64>());
+        let a = run_monte_carlo(McConfig::new(8, 1), |_i, rng| rng.next());
+        let b = run_monte_carlo(McConfig::new(8, 2), |_i, rng| rng.next());
         assert_ne!(a, b);
     }
 
     #[test]
     fn per_repetition_streams_are_independent() {
         // Same repetition index, same value; different index, different value.
-        let out = run_monte_carlo(McConfig::new(4, 5), |_i, rng| rng.gen::<u64>());
-        let again = run_monte_carlo(McConfig::new(4, 5), |_i, rng| rng.gen::<u64>());
+        let out = run_monte_carlo(McConfig::new(4, 5), |_i, rng| rng.next());
+        let again = run_monte_carlo(McConfig::new(4, 5), |_i, rng| rng.next());
         assert_eq!(out, again);
         assert_ne!(out[0], out[1]);
     }
@@ -206,7 +205,7 @@ mod tests {
             let spins = if i % 13 == 0 { 20_000 } else { 10 };
             let mut acc = 0u64;
             for _ in 0..spins {
-                acc = acc.wrapping_add(rng.gen::<u64>() >> 60);
+                acc = acc.wrapping_add(rng.next() >> 60);
             }
             (i, acc.min(1))
         });
@@ -218,7 +217,7 @@ mod tests {
 
     #[test]
     fn global_thread_budget_does_not_change_results() {
-        let run = || run_monte_carlo(McConfig::new(48, 21), |_i, rng| rng.gen::<u64>());
+        let run = || run_monte_carlo(McConfig::new(48, 21), |_i, rng| rng.next());
         let auto = run();
         set_global_threads(1);
         let serial = run();
@@ -231,7 +230,7 @@ mod tests {
 
     #[test]
     fn ensemble_mean_of_uniform_is_half() {
-        let out = run_monte_carlo(McConfig::new(20_000, 3), |_i, rng| rng.gen::<f64>());
+        let out = run_monte_carlo(McConfig::new(20_000, 3), |_i, rng| rng.next_f64());
         let mean: f64 = out.iter().sum::<f64>() / out.len() as f64;
         assert!((mean - 0.5).abs() < 0.01, "{mean}");
     }

@@ -13,7 +13,7 @@
 //! through the number of previous wins `k`: `p = (a + k·w)/(1 + i·w)`.
 
 use crate::dist::{Beta, ContinuousDistribution};
-use rand::Rng;
+use crate::rng::Xoshiro256StarStar;
 
 /// A two-colour Pólya urn with continuous mass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,12 +74,12 @@ impl PolyaUrn {
     }
 
     /// Simulates `n` draws, returning the number won by colour A.
-    pub fn simulate<R: Rng + ?Sized>(&self, n: u64, rng: &mut R) -> u64 {
+    pub fn simulate(&self, n: u64, rng: &mut Xoshiro256StarStar) -> u64 {
         let mut wins = 0u64;
         for i in 0..n {
             let total = self.a + self.b + self.w * i as f64;
             let p = (self.a + self.w * wins as f64) / total;
-            if rng.gen::<f64>() < p {
+            if rng.next_f64() < p {
                 wins += 1;
             }
         }
@@ -139,7 +139,6 @@ impl PolyaUrn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256StarStar;
 
     #[test]
     fn exact_distribution_sums_to_one() {

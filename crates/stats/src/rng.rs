@@ -9,11 +9,14 @@
 //! * [`Xoshiro256StarStar`] — the workhorse generator for simulation, with a
 //!   256-bit state and a period of 2²⁵⁶ − 1.
 //!
-//! Both implement [`rand::RngCore`] and [`rand::SeedableRng`] so they compose
-//! with the rest of the `rand` ecosystem, and both are fully deterministic:
-//! a fixed seed reproduces a figure bit-for-bit.
+//! Every sampler in the workspace takes `&mut Xoshiro256StarStar` and
+//! draws through three inherent methods: [`next`](Xoshiro256StarStar::next)
+//! for a raw word, [`next_f64`](Xoshiro256StarStar::next_f64) for a
+//! uniform in `[0, 1)` and [`gen_range`](Xoshiro256StarStar::gen_range)
+//! for an integer range. Both generators are fully deterministic: a fixed
+//! seed reproduces a figure bit-for-bit.
 
-use rand::{RngCore, SeedableRng};
+use std::ops::Range;
 
 /// SplitMix64 generator (Steele, Lea & Flood 2014).
 ///
@@ -41,39 +44,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-}
-
-impl RngCore for SplitMix64 {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        fill_bytes_via_u64(self, dest);
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SplitMix64 {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        Self::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Self::new(state)
     }
 }
 
@@ -124,6 +94,20 @@ impl Xoshiro256StarStar {
         (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
+    /// Returns an integer drawn uniformly from `range`. Two output words,
+    /// high word first, form one 128-bit integer that is reduced modulo
+    /// the span; the modulo bias is at most span/2¹²⁸.
+    ///
+    /// # Panics
+    /// Panics if `range` is empty.
+    #[inline]
+    pub fn gen_range(&mut self, range: Range<u64>) -> u64 {
+        assert!(range.start < range.end, "cannot sample empty range");
+        let span = u128::from(range.end - range.start);
+        let r = (u128::from(self.next()) << 64) | u128::from(self.next());
+        range.start + (r % span) as u64
+    }
+
     /// Equivalent of 2¹²⁸ calls to [`next`](Self::next); used to derive
     /// non-overlapping subsequences from one seed.
     pub fn jump(&mut self) {
@@ -146,60 +130,6 @@ impl Xoshiro256StarStar {
             }
         }
         self.s = s;
-    }
-}
-
-impl RngCore for Xoshiro256StarStar {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        fill_bytes_via_u64(self, dest);
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for Xoshiro256StarStar {
-    type Seed = [u8; 32];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        let mut s = [0u64; 4];
-        for (i, word) in s.iter_mut().enumerate() {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(&seed[i * 8..(i + 1) * 8]);
-            *word = u64::from_le_bytes(bytes);
-        }
-        if s == [0, 0, 0, 0] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
-        }
-        Self { s }
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Self::new(state)
-    }
-}
-
-fn fill_bytes_via_u64<R: RngCore>(rng: &mut R, dest: &mut [u8]) {
-    let mut chunks = dest.chunks_exact_mut(8);
-    for chunk in &mut chunks {
-        chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-    }
-    let rem = chunks.into_remainder();
-    if !rem.is_empty() {
-        let bytes = rng.next_u64().to_le_bytes();
-        rem.copy_from_slice(&bytes[..rem.len()]);
     }
 }
 
@@ -244,7 +174,6 @@ impl SeedSequence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn splitmix_reference_vector() {
@@ -311,32 +240,5 @@ mod tests {
         assert_ne!(s0, s1);
         // Nearby indices should differ in many bits, not just a few.
         assert!((s0 ^ s1).count_ones() > 10);
-    }
-
-    #[test]
-    fn rng_core_integration_with_rand() {
-        let mut rng = Xoshiro256StarStar::new(3);
-        let x: f64 = rng.gen();
-        assert!((0.0..1.0).contains(&x));
-        let y: u32 = rng.gen_range(0..10);
-        assert!(y < 10);
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SplitMix64::new(1);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn seedable_from_seed_roundtrip() {
-        let a = Xoshiro256StarStar::from_seed([7u8; 32]);
-        let b = Xoshiro256StarStar::from_seed([7u8; 32]);
-        assert_eq!(a, b);
-        let z = Xoshiro256StarStar::from_seed([0u8; 32]);
-        // All-zero seed must be patched to a nonzero state.
-        assert_ne!(z.s, [0, 0, 0, 0]);
     }
 }

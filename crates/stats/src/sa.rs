@@ -17,7 +17,7 @@
 //! any drift function plus a simulator for SA recursions, so the SL-PoS
 //! analysis in `fairness-core` is a thin instantiation.
 
-use rand::Rng;
+use crate::rng::Xoshiro256StarStar;
 
 /// Stability classification of a zero point `q` of a drift function `f`
 /// (Lemmas 4.7 and 4.8).
@@ -105,16 +105,15 @@ pub fn classify_zero<F: Fn(f64) -> f64>(f: &F, q: f64, probe: f64) -> Stability 
 /// realized `f(Z_n) + U_{n+1}` given the current state.
 ///
 /// Returns the trajectory `[Z_0, Z_1, ..., Z_n]` clamped to `[0, 1]`.
-pub fn simulate_sa<R, FStep, FGamma>(
+pub fn simulate_sa<FStep, FGamma>(
     z0: f64,
     n: usize,
     mut gamma: FGamma,
     mut step: FStep,
-    rng: &mut R,
+    rng: &mut Xoshiro256StarStar,
 ) -> Vec<f64>
 where
-    R: Rng + ?Sized,
-    FStep: FnMut(f64, &mut R) -> f64,
+    FStep: FnMut(f64, &mut Xoshiro256StarStar) -> f64,
     FGamma: FnMut(usize) -> f64,
 {
     assert!((0.0..=1.0).contains(&z0), "z0 must be in [0,1], got {z0}");
@@ -132,7 +131,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256StarStar;
 
     /// The SL-PoS drift of Eq. (2) in the paper.
     fn slpos_drift(z: f64) -> f64 {
@@ -189,7 +187,7 @@ mod tests {
             0.9,
             50_000,
             |i| 1.0 / i as f64,
-            |z, rng| (0.3 - z) + (rng.gen::<f64>() - 0.5) * 0.2,
+            |z, rng| (0.3 - z) + (rng.next_f64() - 0.5) * 0.2,
             &mut rng,
         );
         let z_final = *traj.last().expect("non-empty");
@@ -203,7 +201,7 @@ mod tests {
             0.5,
             10_000,
             |i| 2.0 / i as f64,
-            |_z, rng| (rng.gen::<f64>() - 0.5) * 4.0,
+            |_z, rng| (rng.next_f64() - 0.5) * 4.0,
             &mut rng,
         );
         assert!(traj.iter().all(|&z| (0.0..=1.0).contains(&z)));
@@ -229,7 +227,7 @@ mod tests {
                     } else {
                         1.0 - (1.0 - z) / (2.0 * z)
                     };
-                    let x: f64 = if rng.gen::<f64>() < win { 1.0 } else { 0.0 };
+                    let x: f64 = if rng.next_f64() < win { 1.0 } else { 0.0 };
                     x - z
                 },
                 &mut rng,

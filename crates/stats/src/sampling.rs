@@ -33,7 +33,7 @@
 //! byte-compare is the end-to-end guard that the committed grids never
 //! do.)
 
-use rand::Rng;
+use crate::rng::Xoshiro256StarStar;
 
 /// A weighted sampler over a fixed-size category set, supporting
 /// O(log m) draws and O(log m) single-category weight updates.
@@ -194,8 +194,8 @@ impl FenwickSampler {
 
     /// Draws a category using the generator's next `f64` — consumes
     /// exactly the one uniform draw the linear scan consumes.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.sample_at(rng.gen::<f64>())
+    pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
+        self.sample_at(rng.next_f64())
     }
 }
 
@@ -278,7 +278,7 @@ impl ZipfSampler {
     }
 
     /// Draws a rank using the generator's next `f64`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
         self.fenwick.sample(rng)
     }
 }
@@ -286,7 +286,6 @@ impl ZipfSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256StarStar;
 
     /// The linear scan the sampler must agree with (a copy of
     /// `fairness_core::miner::sample_categorical`'s arithmetic, kept here

@@ -82,8 +82,7 @@ fn chain_supply_matches_game_accounting() {
 fn cpos_epoch_sim_exact_issuance() {
     let engine = CPosEngine::new(32, 1_000, 10_000);
     let mut sim = CPosSim::new(engine, &[200_000, 800_000], 384);
-    let mut rng = blockchain_fairness::stats::rng::Xoshiro256StarStar::new(7);
-    sim.run_epochs(100, &mut rng);
+    sim.run_epochs(100);
     assert_eq!(sim.ledger().total_supply(), 1_000_000 + 100 * 11_000);
     let f = sim.reward_fraction(0) + sim.reward_fraction(1);
     assert!((f - 1.0).abs() < 1e-9);
