@@ -1,12 +1,15 @@
 //! Criterion benchmarks: the simulation hot paths this workspace's
 //! wall-clock lives in — per-step game stepping for every base protocol,
 //! weighted sampling (Fenwick vs linear scan), sha256 nonce grinding
-//! (midstate vs full rebuild), and the hash-level overlay's blocks.
+//! (full rebuild, midstate, and midstate pairs), and the hash-level
+//! overlay's blocks.
 //!
 //! CI runs these in smoke mode (one pass each) so the benches cannot rot;
 //! locally, `cargo bench --bench hotpath` prints ns/iter per target.
 
-use chain_sim::{run_experiment, ExperimentConfig, Hash256, HashBuilder, ProtocolKind};
+use chain_sim::{
+    run_experiment, ExperimentConfig, Hash256, HashBuilder, HashMidstate, ProtocolKind,
+};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairness_bench::experiments::common::{A_DEFAULT, W_DEFAULT};
 use fairness_core::game::MiningGame;
@@ -156,6 +159,22 @@ fn bench_grind(c: &mut Criterion) {
         b.iter(|| {
             nonce = nonce.wrapping_add(1);
             black_box(midstate.finish_u64(nonce))
+        });
+    });
+    // Two trials per iteration, as the engines grind: ns/iter ÷ 2 reads
+    // against `trial_midstate`.
+    group.bench_function("trial_pair", |b| {
+        let midstate = HashBuilder::new("pow-trial")
+            .hash(&prev)
+            .hash(&pubkey)
+            .midstate();
+        let mut nonce = 0u64;
+        b.iter(|| {
+            nonce = nonce.wrapping_add(2);
+            black_box(HashMidstate::finish_u64_pair([
+                (&midstate, nonce),
+                (&midstate, nonce + 1),
+            ]))
         });
     });
     group.finish();

@@ -32,7 +32,7 @@ use crate::report::{fmt4, write_csv, TextTable};
 use fairness_core::prelude::*;
 use fairness_stats::dist::{fee_lottery_income_share, uniform_lottery_sybil_advantage};
 use fairness_stats::mc::{run_monte_carlo, McConfig};
-use fairness_stats::rng::Xoshiro256StarStar;
+use fairness_stats::rng::{mix_seed, Xoshiro256StarStar};
 use std::fmt::Write as _;
 use std::io;
 
@@ -83,15 +83,6 @@ const SYBIL_FEE: f64 = 0.5;
 const SYBIL_HORIZON: u64 = 500;
 /// Identity counts probed (1 = the honest baseline).
 const SYBIL_IDENTITIES: [u32; 4] = [1, 2, 5, 10];
-
-/// SplitMix64-style mix of the master seed and a grid-point tag (same
-/// construction as the scale sweep).
-fn mix(seed: u64, tag: u64) -> u64 {
-    let mut z = seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Final-state metrics of one repetition.
 struct RepOutcome {
@@ -204,7 +195,7 @@ pub fn redistribution(ctx: &SweepSession) -> io::Result<String> {
             family,
             STRENGTHS[s_idx],
             reps,
-            mix(opts.seed ^ 0x5ED1_57B0, tag),
+            mix_seed(opts.seed ^ 0x5ED1_57B0, tag),
         )
     });
 

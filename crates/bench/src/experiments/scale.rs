@@ -28,6 +28,7 @@ use super::SweepSession;
 use crate::report::{fmt4, write_csv, TextTable};
 use fairness_core::prelude::*;
 use fairness_stats::mc::{run_monte_carlo, McConfig};
+use fairness_stats::rng::mix_seed;
 use std::fmt::Write as _;
 use std::io;
 
@@ -83,16 +84,6 @@ fn miner_cap(opts: &crate::ReproOptions) -> usize {
     }
 }
 
-/// SplitMix64-style mix of a master seed and a grid-point tag, so every
-/// sampled quantity is a function of *what* is being computed, never of
-/// scheduling order.
-fn mix(seed: u64, tag: u64) -> u64 {
-    let mut z = seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Repetitions for one fairness grid point: a fixed simulation budget of
 /// ~2·10⁶ miner-slots split across repetitions, floored at 2 and capped by
 /// the run's `--reps` (itself capped at 64 — the metrics here are means of
@@ -114,7 +105,7 @@ struct FairnessPoint {
 fn fairness_point(m: usize, reps: usize, seed: u64) -> FairnessPoint {
     let shares = zipf_shares(m, ZIPF_EXPONENT);
     let initial = DecentralizationReport::measure(&shares);
-    let finals = run_monte_carlo(McConfig::new(reps, mix(seed, m as u64)), |_i, rng| {
+    let finals = run_monte_carlo(McConfig::new(reps, mix_seed(seed, m as u64)), |_i, rng| {
         let mut game = MiningGame::new(MlPos::new(W_DEFAULT), &shares);
         game.run(FAIRNESS_HORIZON, rng);
         let report = DecentralizationReport::measure(game.stakes());
@@ -147,7 +138,7 @@ fn fairness_point(m: usize, reps: usize, seed: u64) -> FairnessPoint {
 pub fn tail_monopolization_threshold(m: usize, horizon: u64, reps: usize, seed: u64) -> f64 {
     assert!(m >= 2, "need at least two miners");
     let monopolizes = |a: f64, probe: u64| {
-        let point_seed = mix(seed, ((m as u64) << 8) | probe);
+        let point_seed = mix_seed(seed, ((m as u64) << 8) | probe);
         let lambdas = run_monte_carlo(McConfig::new(reps, point_seed), |_i, rng| {
             let mut game = AggregatedTailGame::new(TailKernel::SlPosRace, a, m - 1, W_DEFAULT);
             game.run(horizon, rng);

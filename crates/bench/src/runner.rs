@@ -55,6 +55,17 @@ pub enum ScenarioError {
         /// The unknown engine name.
         engine: String,
     },
+    /// A `system` cross-check would put more atoms in circulation than
+    /// its `u64` ledger can count.
+    SupplyOverflow {
+        /// The offending scenario's name.
+        scenario: String,
+        /// The protocol's reward per block, as a fraction of the initial
+        /// circulation.
+        reward: f64,
+        /// The cross-check's horizon in blocks (epochs for C-PoS).
+        horizon: u64,
+    },
     /// Two scenario names collapse to the same CSV stem.
     SlugCollision {
         /// The first scenario claiming the stem.
@@ -83,6 +94,7 @@ impl ScenarioError {
             ScenarioError::Invalid { error, .. } => error.code(),
             ScenarioError::Registry { .. } => "registry",
             ScenarioError::UnknownEngine { .. } => "unknown-engine",
+            ScenarioError::SupplyOverflow { .. } => "supply-overflow",
             ScenarioError::SlugCollision { .. } => "slug-collision",
             ScenarioError::Cancelled => "cancelled",
             ScenarioError::Io { .. } => "io",
@@ -103,6 +115,16 @@ impl fmt::Display for ScenarioError {
                 f,
                 "scenario \"{scenario}\": unknown system engine `{engine}` \
                  (expected pow, ml-pos, sl-pos, fsl-pos or c-pos)"
+            ),
+            ScenarioError::SupplyOverflow {
+                scenario,
+                reward,
+                horizon,
+            } => write!(
+                f,
+                "scenario \"{scenario}\": the hash-level cross-check would issue more \
+                 than u64::MAX atoms (w = {reward} over {horizon} blocks); lower w or \
+                 the system horizon"
             ),
             ScenarioError::SlugCollision {
                 first,
@@ -189,6 +211,15 @@ fn resolve(ctx: &SweepSession, spec: &ScenarioSpec) -> Result<Resolved, Scenario
                     scenario: spec.name.clone(),
                     engine: system.engine.clone(),
                 })?;
+            let reward = protocol.reward_per_step();
+            let (_, config) = system_config(&shares, reward, kind, system.horizon);
+            if config.max_supply().is_none() {
+                return Err(ScenarioError::SupplyOverflow {
+                    scenario: spec.name.clone(),
+                    reward,
+                    horizon: system.horizon,
+                });
+            }
             Some((kind, system.horizon, system.salt))
         }
     };
@@ -200,6 +231,18 @@ fn resolve(ctx: &SweepSession, spec: &ScenarioSpec) -> Result<Resolved, Scenario
         withholding: spec.withholding.map(WithholdingSchedule::every),
         system,
     })
+}
+
+/// The two-miner network a `system` cross-check runs, with miner A's
+/// share of the population.
+fn system_config(
+    shares: &[f64],
+    reward: f64,
+    kind: ProtocolKind,
+    horizon: u64,
+) -> (f64, ExperimentConfig) {
+    let a = shares[0] / shares.iter().sum::<f64>();
+    (a, ExperimentConfig::two_miner(kind, a, reward, horizon))
 }
 
 /// Runs a hash-level cross-check exactly the way the figure modules always
@@ -218,8 +261,12 @@ fn run_system(
     salt: u64,
 ) -> EnsembleSummary {
     let opts = ctx.opts;
-    let a = resolved.shares[0] / resolved.shares.iter().sum::<f64>();
-    let config = ExperimentConfig::two_miner(kind, a, resolved.protocol.reward_per_step(), horizon);
+    let (a, config) = system_config(
+        &resolved.shares,
+        resolved.protocol.reward_per_step(),
+        kind,
+        horizon,
+    );
     let digest = {
         let mut h = fairness_stats::cache::StableHasher::new();
         h.write_str("system-spill-v1");
@@ -581,6 +628,20 @@ mod tests {
         });
         let err = run_scenarios(&h.session(), &[bad_engine]).expect_err("must fail");
         assert!(matches!(err, ScenarioError::UnknownEngine { .. }));
+
+        let mut rich = spec("rich", ProtocolSpec::new("pow").with("w", 1e13));
+        rich.system = Some(fairness_core::scenario::SystemSpec {
+            engine: "pow".into(),
+            horizon: 50,
+            salt: 1,
+        });
+        let err = run_scenarios(&h.session(), &[rich]).expect_err("must fail");
+        assert!(matches!(
+            err,
+            ScenarioError::SupplyOverflow { horizon: 50, .. }
+        ));
+        assert_eq!(err.code(), "supply-overflow");
+        assert!(err.to_string().contains("rich"));
     }
 
     #[test]

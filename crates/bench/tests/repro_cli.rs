@@ -73,3 +73,34 @@ fn overflowing_share_total_exits_1_with_the_message() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A cross-check whose block rewards would overflow the `u64` ledger exits
+/// 1 with the message before any simulation runs, instead of panicking
+/// mid-run on a ledger credit.
+#[test]
+fn overflowing_system_issuance_exits_1_with_the_message() {
+    let dir = std::env::temp_dir().join("fairness-bench-repro-supply-overflow");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for w in ["1e13", "1e12"] {
+        let out = run_scenario(
+            &dir,
+            &format!("supply_{w}.scn"),
+            &format!(
+                "scenario \"rich\" {{\n\
+                 \x20 protocol = pow(w = {w})\n\
+                 \x20 shares = [0.2, 0.8]\n\
+                 \x20 checkpoints = linear(100, 5)\n\
+                 \x20 system = pow(horizon = 50, salt = 1)\n\
+                 }}\n"
+            ),
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "w = {w}: {stderr}");
+        assert!(
+            stderr.contains("would issue more than u64::MAX atoms"),
+            "w = {w}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

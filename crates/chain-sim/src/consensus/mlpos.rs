@@ -9,7 +9,7 @@
 //! Section 2.2 and the win probability ≈ `S_A/(S_A+S_B)` for small `p`.
 
 use super::{check_inputs, total_stake, BlockLottery, LotteryOutcome, MinerProfile};
-use crate::hash::{Hash256, HashBuilder, HashMidstate};
+use crate::hash::{Hash256, HashBuilder, HashMidstate, TrialPairs};
 use crate::u256::U256;
 use fairness_stats::rng::Xoshiro256StarStar;
 
@@ -144,16 +144,22 @@ impl BlockLottery for MlPosEngine {
         let mut winners: Vec<(usize, Hash256)> = Vec::new();
         for tick in 1..=self.max_ticks {
             // Collect all miners whose kernel is valid at this timestamp.
+            // The staked miners' kernels are hashed two at a time in index
+            // order and reported in that order, so `winners` keeps index
+            // order and the tie-break draws the same.
             winners.clear();
-            for (mi, entry) in midstates.iter().enumerate() {
-                let Some((midstate, threshold)) = entry else {
-                    continue;
-                };
-                let kernel = midstate.finish_u64(tick);
+            let mut collect = |(mi, threshold): (usize, &U256), kernel: Hash256| {
                 if kernel.to_u256() < *threshold {
                     winners.push((mi, kernel));
                 }
+            };
+            let mut pairs = TrialPairs::new();
+            for (mi, entry) in midstates.iter().enumerate() {
+                if let Some((midstate, threshold)) = entry {
+                    pairs.push(midstate, tick, (mi, threshold), &mut collect);
+                }
             }
+            pairs.flush(&mut collect);
             if !winners.is_empty() {
                 // The paper's tie rule: a fair coin between simultaneous
                 // successes (uniform among >2).

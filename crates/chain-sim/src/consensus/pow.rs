@@ -9,7 +9,7 @@
 //! model, so the win probability converges to `H_A/(H_A + H_B)`.
 
 use super::{check_inputs, BlockLottery, LotteryOutcome, MinerProfile};
-use crate::hash::{Hash256, HashBuilder, HashMidstate};
+use crate::hash::{Hash256, HashBuilder, HashMidstate, TrialPairs};
 use crate::u256::U256;
 use fairness_stats::rng::Xoshiro256StarStar;
 
@@ -60,9 +60,9 @@ impl PowEngine {
 
     /// Midstate over the fixed trial-hash prefix `(prev, pubkey)`:
     /// grinding a nonce from it yields [`trial_hash`](Self::trial_hash)
-    /// bit-for-bit at roughly a third of the cost (the domain and both
-    /// hashes are absorbed once, and each candidate pays one compression
-    /// instead of two plus the builder copies).
+    /// bit-for-bit (the domain and both hashes are absorbed once, and
+    /// each candidate pays one compression of a padded template instead
+    /// of two plus the builder copies).
     #[must_use]
     pub fn trial_midstate(prev: &Hash256, pubkey: &Hash256) -> HashMidstate {
         HashBuilder::new("pow-trial")
@@ -118,6 +118,16 @@ impl PowEngine {
             .collect();
         for tick in 0..self.max_ticks {
             let mut best: Option<(Hash256, usize, u64)> = None;
+            let mut consider = |(mi, nonce): (usize, u64), trial: Hash256| {
+                if self.trial_valid(&trial) && best.is_none_or(|(h, _, _)| trial < h) {
+                    best = Some((trial, mi, nonce));
+                }
+            };
+            // The tick's trials are hashed two at a time, in the
+            // sequential order (miner by miner, nonce by nonce; an odd
+            // trial pairs with the next miner's first), and considered in
+            // that order, so the strict `<` keeps the same winner.
+            let mut pairs = TrialPairs::new();
             for (mi, miner) in miners.iter().enumerate() {
                 // Batched per-miner grind: nonces are consecutive, so the
                 // cursor is bumped once per tick instead of per trial.
@@ -125,19 +135,10 @@ impl PowEngine {
                 cursors[mi] = start.wrapping_add(miner.hash_rate);
                 for off in 0..miner.hash_rate {
                     let nonce = start.wrapping_add(off);
-                    let trial = midstates[mi].finish_u64(nonce);
-                    if self.trial_valid(&trial) {
-                        let candidate = (trial, mi, nonce);
-                        let better = match &best {
-                            None => true,
-                            Some((h, _, _)) => trial < *h,
-                        };
-                        if better {
-                            best = Some(candidate);
-                        }
-                    }
+                    pairs.push(&midstates[mi], nonce, (mi, nonce), &mut consider);
                 }
             }
+            pairs.flush(&mut consider);
             if let Some((trial, winner, nonce)) = best {
                 return LotteryOutcome {
                     winner,

@@ -8,8 +8,19 @@
 //! [`HashBuilder`] provides domain separation: every hash in the simulator
 //! names its purpose (`"pow-nonce"`, `"mlpos-kernel"`, …) so unrelated
 //! lotteries can never collide structurally.
+//!
+//! [`HashMidstate`] is the grinding path. PoW nonce trials and ML-PoS
+//! timestamp trials hash one fixed prefix followed by a varying `u64`, so
+//! the midstate keeps the prefix's chaining state and a padded template
+//! of the final block(s): a trial copies the template, writes its value
+//! and compresses. [`HashMidstate::finish_u64_pair`] finishes two trials
+//! at once through the two-stream compression of [`mod@crate::sha256`], and
+//! the lottery engines feed their trials to it in order, two at a time.
+//! Every digest equals the full [`HashBuilder`] path's bit for bit; the
+//! engines' `verify` methods still take that full path, so each block
+//! appended to a chain re-checks the template.
 
-use crate::sha256::Sha256;
+use crate::sha256::{compress, compress_pair, digest, Sha256};
 use crate::u256::U256;
 use std::fmt;
 
@@ -117,15 +128,27 @@ impl HashBuilder {
     /// Freezes the fields absorbed so far into a reusable midstate.
     ///
     /// Nonce grinding hashes the same prefix (domain, parent hash, public
-    /// key) millions of times with only a trailing `u64` varying; a
-    /// midstate pays the prefix's compressions and buffer copies **once**
-    /// and each [`HashMidstate::finish_u64`] then costs a single
-    /// compression. `builder.midstate().finish_u64(n)` is bit-identical
-    /// to `builder.u64(n).finish()` by construction (same absorbed
-    /// bytes), pinned by unit tests.
+    /// key) millions of times with only a trailing `u64` varying. The
+    /// midstate pays the prefix's compressions **once** and lays out the
+    /// final block(s) ahead of time: the prefix's buffered tail, the
+    /// field's framing byte, an 8-byte value slot, and the SHA-256
+    /// padding and bit length. Each [`HashMidstate::finish_u64`] then
+    /// copies that template, writes the value and compresses: one
+    /// compression, or two when the tail leaves no room for the padding
+    /// (47 to 62 tail bytes). `builder.midstate().finish_u64(n)` is
+    /// bit-identical to `builder.u64(n).finish()`, pinned by unit tests
+    /// for every tail length.
     #[must_use]
-    pub fn midstate(self) -> HashMidstate {
-        HashMidstate { inner: self.inner }
+    pub fn midstate(mut self) -> HashMidstate {
+        // The framing byte of `u64`; the value itself fills the hole.
+        self.inner.update(&[8u8]);
+        let (state, template, blocks, slot) = self.inner.padded_template(8);
+        HashMidstate {
+            state,
+            template,
+            slot,
+            two_blocks: blocks == 2,
+        }
     }
 }
 
@@ -134,7 +157,15 @@ impl HashBuilder {
 /// [`HashBuilder::midstate`].
 #[derive(Debug, Clone)]
 pub struct HashMidstate {
-    inner: Sha256,
+    /// Chaining state after the prefix's whole blocks.
+    state: [u32; 8],
+    /// The padded final block(s), with the value slot zeroed.
+    template: [[u8; 64]; 2],
+    /// Byte offset of the 8-byte value slot in the template; the slot may
+    /// straddle the two blocks.
+    slot: usize,
+    /// Whether the template's second block is used.
+    two_blocks: bool,
 }
 
 impl HashMidstate {
@@ -143,13 +174,87 @@ impl HashMidstate {
     /// builder.
     #[must_use]
     pub fn finish_u64(&self, v: u64) -> Hash256 {
-        let mut h = self.inner.clone();
-        // The u64 field framing of `HashBuilder::u64`.
-        let mut field = [0u8; 9];
-        field[0] = 8;
-        field[1..].copy_from_slice(&v.to_le_bytes());
-        h.update(&field);
-        Hash256(h.finalize())
+        let mut state = self.state;
+        let message = self.message(v);
+        compress(&mut state, &message[0]);
+        if self.two_blocks {
+            compress(&mut state, &message[1]);
+        }
+        Hash256(digest(&state))
+    }
+
+    /// Two trials at once: `[a.finish_u64(x), b.finish_u64(y)]` for
+    /// `[(a, x), (b, y)]`, bit for bit, for any two midstates (the same
+    /// one twice included). Their compressions run as one two-stream
+    /// compression, which on SHA-NI takes well under the time of two.
+    #[must_use]
+    pub fn finish_u64_pair(trials: [(&HashMidstate, u64); 2]) -> [Hash256; 2] {
+        let [(a, x), (b, y)] = trials;
+        let (mut state_a, mut state_b) = (a.state, b.state);
+        let (message_a, message_b) = (a.message(x), b.message(y));
+        compress_pair([&mut state_a, &mut state_b], [&message_a[0], &message_b[0]]);
+        match (a.two_blocks, b.two_blocks) {
+            (true, true) => {
+                compress_pair([&mut state_a, &mut state_b], [&message_a[1], &message_b[1]])
+            }
+            (true, false) => compress(&mut state_a, &message_a[1]),
+            (false, true) => compress(&mut state_b, &message_b[1]),
+            (false, false) => {}
+        }
+        [Hash256(digest(&state_a)), Hash256(digest(&state_b))]
+    }
+
+    /// The template with `v` written into the value slot.
+    #[inline]
+    fn message(&self, v: u64) -> [[u8; 64]; 2] {
+        let mut message = self.template;
+        message.as_flattened_mut()[self.slot..self.slot + 8].copy_from_slice(&v.to_le_bytes());
+        message
+    }
+}
+
+/// Feeds a sequence of `(midstate, value)` trials to
+/// [`HashMidstate::finish_u64_pair`] two at a time and reports each
+/// digest, with the caller's tag, in the order the trials were pushed. An
+/// unpaired trial waits for the next push; [`flush`](Self::flush)
+/// finishes it alone. The lottery engines push a tick's trials in their
+/// sequential order and flush at the end of the tick, so they see the
+/// same digests in the same order as one `finish_u64` per trial.
+pub(crate) struct TrialPairs<'m, T> {
+    pending: Option<(&'m HashMidstate, u64, T)>,
+}
+
+impl<'m, T> TrialPairs<'m, T> {
+    /// No trial pending.
+    pub(crate) fn new() -> Self {
+        Self { pending: None }
+    }
+
+    /// Queues a trial; once it completes a pair, hashes both and reports
+    /// the earlier trial first.
+    #[inline]
+    pub(crate) fn push(
+        &mut self,
+        midstate: &'m HashMidstate,
+        v: u64,
+        tag: T,
+        mut report: impl FnMut(T, Hash256),
+    ) {
+        match self.pending.take() {
+            None => self.pending = Some((midstate, v, tag)),
+            Some((first, first_v, first_tag)) => {
+                let [h0, h1] = HashMidstate::finish_u64_pair([(first, first_v), (midstate, v)]);
+                report(first_tag, h0);
+                report(tag, h1);
+            }
+        }
+    }
+
+    /// Finishes the unpaired trial, if any.
+    pub(crate) fn flush(&mut self, mut report: impl FnMut(T, Hash256)) {
+        if let Some((midstate, v, tag)) = self.pending.take() {
+            report(tag, midstate.finish_u64(v));
+        }
     }
 }
 
@@ -215,29 +320,74 @@ mod tests {
 
     #[test]
     fn midstate_grind_is_bit_identical_to_full_hash() {
-        // Every prefix shape the engines use, plus block-boundary edges:
-        // the midstate path must reproduce the direct builder bit-for-bit.
-        let builders: Vec<fn() -> HashBuilder> = vec![
-            || HashBuilder::new("pow-trial"),
-            || {
-                HashBuilder::new("pow-trial")
-                    .hash(&HashBuilder::new("x").finish())
-                    .hash(&HashBuilder::new("y").u64(9).finish())
-            },
-            || HashBuilder::new("d").bytes(&[0xab; 55]),
-            || HashBuilder::new("d").bytes(&[0xab; 64]),
-            || HashBuilder::new("d").bytes(&[0xab; 119]),
-        ];
-        for (bi, make) in builders.iter().enumerate() {
-            let midstate = make().midstate();
-            for nonce in [0u64, 1, 42, u64::MAX, 0x0102_0304_0506_0708] {
+        // Every tail length a prefix can leave in SHA-256's buffer (the
+        // domain's 8-byte length and its bytes put `len + 8` bytes in
+        // front, so lengths 0..=127 reach every tail twice and cover one-
+        // and two-block templates, a straddling value slot included):
+        // `finish_u64` and the pair finish must reproduce the direct
+        // builder bit for bit, for pairs of one prefix and of two.
+        let values = [0u64, 1, 42, u64::MAX, 0x0102_0304_0506_0708];
+        let prefix = |len: usize| -> String {
+            (0..len)
+                .map(|i| char::from(b'a' + (i % 26) as u8))
+                .collect()
+        };
+        let full = |len: usize, v: u64| HashBuilder::new(&prefix(len)).u64(v).finish();
+        let midstates: Vec<HashMidstate> = (0..128)
+            .map(|len| HashBuilder::new(&prefix(len)).midstate())
+            .collect();
+        for (len, midstate) in midstates.iter().enumerate() {
+            let other_len = (len * 37 + 11) % 128;
+            let other = &midstates[other_len];
+            for (i, &v) in values.iter().enumerate() {
+                let expect = full(len, v);
+                assert_eq!(midstate.finish_u64(v), expect, "prefix {len}, value {v:#x}");
+                let w = values[(i + 1) % values.len()];
                 assert_eq!(
-                    midstate.finish_u64(nonce),
-                    make().u64(nonce).finish(),
-                    "builder {bi} nonce {nonce}"
+                    HashMidstate::finish_u64_pair([(midstate, v), (midstate, w)]),
+                    [expect, full(len, w)],
+                    "same-prefix pair {len}, values {v:#x}, {w:#x}"
+                );
+                assert_eq!(
+                    HashMidstate::finish_u64_pair([(midstate, v), (other, w)]),
+                    [expect, full(other_len, w)],
+                    "pair of prefixes {len} and {other_len}, values {v:#x}, {w:#x}"
                 );
             }
         }
+        // The prefix shapes the engines use.
+        let prev = HashBuilder::new("x").finish();
+        let pubkey = HashBuilder::new("y").u64(9).finish();
+        for domain in ["pow-trial", "mlpos-kernel"] {
+            let builder = || HashBuilder::new(domain).hash(&prev).hash(&pubkey);
+            let midstate = builder().midstate();
+            for v in values {
+                assert_eq!(
+                    midstate.finish_u64(v),
+                    builder().u64(v).finish(),
+                    "{domain}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trial_pairs_report_in_push_order() {
+        let midstates: Vec<HashMidstate> = (0..3)
+            .map(|i| HashBuilder::new("pairs").u64(i).midstate())
+            .collect();
+        let trials: Vec<(usize, u64)> = (0..7).map(|i| (i % 3, 100 + i as u64)).collect();
+        let mut seen = Vec::new();
+        let mut pairs = TrialPairs::new();
+        for &(m, v) in &trials {
+            pairs.push(&midstates[m], v, (m, v), |tag, h| seen.push((tag, h)));
+        }
+        pairs.flush(|tag, h| seen.push((tag, h)));
+        let expect: Vec<_> = trials
+            .iter()
+            .map(|&(m, v)| ((m, v), midstates[m].finish_u64(v)))
+            .collect();
+        assert_eq!(seen, expect);
     }
 
     #[test]

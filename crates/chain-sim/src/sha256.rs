@@ -12,6 +12,22 @@
 //! remain the fallback on every other target. Both paths compute the
 //! same FIPS 180-4 function, so digests are identical; the test suite
 //! cross-checks them on CPUs where both are available.
+//!
+//! Lottery grinding hashes many independent messages, so the crate can
+//! also compress two blocks at once (`compress_pair`). On SHA-NI the two
+//! streams' message schedules and `sha256rnds2` chains interleave and
+//! share each round-constant load, so one stream's round latency hides
+//! behind the other's and a pair takes well under two compressions' time.
+//! Without SHA-NI it runs the scalar rounds twice. The kernel is generic
+//! over the stream count, and one stream is the plain compression. Pairs
+//! are the widest it runs: each stream keeps about eight `xmm` values
+//! live, and the legacy-SSE encoding of the SHA instructions addresses
+//! only 16 registers.
+//!
+//! `Sha256::padded_template` serves the grinding midstates of
+//! [`crate::hash`]: it lays out a message's final block(s) with a hole for
+//! bytes not known yet, so each trial copies the template, fills the hole
+//! and compresses, with no buffering or padding work.
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes.
@@ -136,17 +152,17 @@ impl Sha256 {
             self.buffer_len += take;
             input = &input[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
         // Whole blocks straight from the input.
         while input.len() >= 64 {
             let (block, rest) = input.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+            compress(
+                &mut self.state,
+                block.try_into().expect("split_at(64) yields 64 bytes"),
+            );
             input = rest;
         }
         // Stash the tail.
@@ -159,9 +175,8 @@ impl Sha256 {
     /// Finishes and returns the 32-byte digest.
     ///
     /// Padding is written in bulk (one `0x80`, a zero fill, the 64-bit
-    /// big-endian bit length) rather than byte-at-a-time — finalization
-    /// is on the nonce-grinding hot path, where it costs as much as the
-    /// compression itself if done naively.
+    /// big-endian bit length) rather than byte-at-a-time: done naively it
+    /// costs as much as the compression itself.
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
@@ -171,80 +186,134 @@ impl Sha256 {
             // No room for the length in this block: pad it out, compress,
             // and start a fresh all-padding block.
             self.buffer[n + 1..].fill(0);
-            let block = self.buffer;
-            self.compress(&block);
+            compress(&mut self.state, &self.buffer);
             self.buffer.fill(0);
         } else {
             self.buffer[n + 1..56].fill(0);
         }
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        compress(&mut self.state, &self.buffer);
+        digest(&self.state)
     }
 
-    /// The SHA-256 compression function over one 512-bit block:
-    /// hardware-accelerated when the CPU supports it, portable scalar
-    /// rounds otherwise.
-    #[inline]
-    fn compress(&mut self, block: &[u8; 64]) {
-        #[cfg(target_arch = "x86_64")]
-        if shani::available() {
-            // SAFETY: `available()` verified the sha/ssse3/sse4.1
-            // features at runtime.
-            unsafe { shani::compress(&mut self.state, block) };
-            return;
-        }
-        self.compress_scalar(block);
+    /// Lays out the final block(s) of the message continued by `hole`
+    /// bytes not known yet: the buffered tail, `hole` zero bytes, the
+    /// `0x80` terminator, the zero fill and the 64-bit big-endian bit
+    /// length of the continued message.
+    ///
+    /// Returns the chaining state, the two-block template, how many of
+    /// its blocks are used (1, or 2 when the tail leaves no room for the
+    /// padding) and the hole's offset. Writing the continuation into the
+    /// hole and compressing the used blocks from the state gives the
+    /// digest [`finalize`](Self::finalize) returns after
+    /// `update(continuation)`. This is a second implementation of the
+    /// padding on purpose: callers that check a template's output against
+    /// `finalize` check the two against each other.
+    ///
+    /// # Panics
+    /// Panics if the continued tail and its padding do not fit in two
+    /// blocks, which takes a `hole` above 56 bytes.
+    pub(crate) fn padded_template(&self, hole: usize) -> ([u32; 8], [[u8; 64]; 2], usize, usize) {
+        let n = self.buffer_len;
+        let terminator = n + hole;
+        assert!(
+            terminator + 9 <= 128,
+            "a {hole}-byte hole needs more than two blocks"
+        );
+        let blocks = if terminator + 9 <= 64 { 1 } else { 2 };
+        let bit_len = self
+            .total_len
+            .checked_add(hole as u64)
+            .expect("SHA-256 input exceeds u64 byte count")
+            .wrapping_mul(8);
+        let mut template = [[0u8; 64]; 2];
+        let bytes = template.as_flattened_mut();
+        bytes[..n].copy_from_slice(&self.buffer[..n]);
+        bytes[terminator] = 0x80;
+        bytes[64 * blocks - 8..64 * blocks].copy_from_slice(&bit_len.to_be_bytes());
+        (self.state, template, blocks, n)
     }
+}
 
-    /// Portable scalar SHA-256 rounds (the reference path).
-    fn compress_scalar(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The big-endian digest bytes of a final chaining state.
+pub(crate) fn digest(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The SHA-256 compression function over one 512-bit block:
+/// hardware-accelerated when the CPU supports it, portable scalar rounds
+/// otherwise.
+#[inline]
+pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available()` verified the sha/ssse3/sse4.1 features at
+        // runtime.
+        unsafe { shani::compress([state], [block]) };
+        return;
+    }
+    compress_scalar(state, block);
+}
+
+/// Two independent compressions, `blocks[i]` into `states[i]`: the result
+/// equals two [`compress`] calls. On SHA-NI the two streams' rounds
+/// interleave, so a pair takes well under the time of two compressions;
+/// without it the scalar rounds run twice.
+#[inline]
+pub(crate) fn compress_pair(states: [&mut [u32; 8]; 2], blocks: [&[u8; 64]; 2]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available()` verified the sha/ssse3/sse4.1 features at
+        // runtime.
+        unsafe { shani::compress(states, blocks) };
+        return;
+    }
+    let [a, b] = states;
+    compress_scalar(a, blocks[0]);
+    compress_scalar(b, blocks[1]);
+}
+
+/// Portable scalar SHA-256 rounds (the reference path).
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
     }
 }
 
@@ -262,8 +331,8 @@ mod shani {
     use super::K;
     use core::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
-        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
-        _mm_shuffle_epi8, _mm_storeu_si128,
+        _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
     };
     use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -287,73 +356,81 @@ mod shani {
         }
     }
 
+    /// `N` independent compressions, `blocks[s]` into `states[s]`. The
+    /// streams advance round by round together, sharing each round
+    /// constant load, so the out-of-order core overlaps their
+    /// `sha256rnds2` chains.
+    ///
     /// # Safety
     /// The caller must have verified the `sha`, `ssse3` and `sse4.1` CPU
     /// features (see [`available`]).
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub(super) unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-        // Repack [a,b,c,d] / [e,f,g,h] into the ABEF / CDGH pairs
-        // `sha256rnds2` consumes.
-        let dcba = _mm_loadu_si128(state.as_ptr().cast::<__m128i>());
-        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast::<__m128i>());
-        let cdab = _mm_shuffle_epi32::<0xB1>(dcba);
-        let efgh = _mm_shuffle_epi32::<0x1B>(hgfe);
-        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
-        let mut cdgh = _mm_blend_epi16::<0xF0>(efgh, cdab);
-        let abef_save = abef;
-        let cdgh_save = cdgh;
-
+    pub(super) unsafe fn compress<const N: usize>(
+        states: [&mut [u32; 8]; N],
+        blocks: [&[u8; 64]; N],
+    ) {
         // Big-endian byte swap per 32-bit lane for the message loads.
         #[allow(clippy::cast_possible_wrap)]
         let flip = _mm_set_epi64x(
             0x0C0D_0E0F_0809_0A0Bu64 as i64,
             0x0405_0607_0001_0203u64 as i64,
         );
-        let mut w = [
-            _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().cast::<__m128i>()), flip),
-            _mm_shuffle_epi8(
-                _mm_loadu_si128(block.as_ptr().add(16).cast::<__m128i>()),
-                flip,
-            ),
-            _mm_shuffle_epi8(
-                _mm_loadu_si128(block.as_ptr().add(32).cast::<__m128i>()),
-                flip,
-            ),
-            _mm_shuffle_epi8(
-                _mm_loadu_si128(block.as_ptr().add(48).cast::<__m128i>()),
-                flip,
-            ),
-        ];
+        let zero = _mm_setzero_si128();
+        let mut abef = [zero; N];
+        let mut cdgh = [zero; N];
+        let mut w = [[zero; 4]; N];
+        for s in 0..N {
+            // Repack [a,b,c,d] / [e,f,g,h] into the ABEF / CDGH pairs
+            // `sha256rnds2` consumes.
+            let dcba = _mm_loadu_si128(states[s].as_ptr().cast::<__m128i>());
+            let hgfe = _mm_loadu_si128(states[s].as_ptr().add(4).cast::<__m128i>());
+            let cdab = _mm_shuffle_epi32::<0xB1>(dcba);
+            let efgh = _mm_shuffle_epi32::<0x1B>(hgfe);
+            abef[s] = _mm_alignr_epi8::<8>(cdab, efgh);
+            cdgh[s] = _mm_blend_epi16::<0xF0>(efgh, cdab);
+            for (j, lane) in w[s].iter_mut().enumerate() {
+                let bytes = _mm_loadu_si128(blocks[s].as_ptr().add(16 * j).cast::<__m128i>());
+                *lane = _mm_shuffle_epi8(bytes, flip);
+            }
+        }
+        let abef_save = abef;
+        let cdgh_save = cdgh;
 
         for i in 0..16 {
-            let m = if i < 4 {
-                w[i]
-            } else {
-                // w[i] = msg2(msg1(w[i-4], w[i-3]) + alignr(w[i-1], w[i-2], 4), w[i-1])
-                let fresh = _mm_sha256msg2_epu32(
-                    _mm_add_epi32(
-                        _mm_sha256msg1_epu32(w[i & 3], w[(i + 1) & 3]),
-                        _mm_alignr_epi8::<4>(w[(i + 3) & 3], w[(i + 2) & 3]),
-                    ),
-                    w[(i + 3) & 3],
-                );
-                w[i & 3] = fresh;
-                fresh
-            };
-            let wk = _mm_add_epi32(m, _mm_loadu_si128(K.as_ptr().add(4 * i).cast::<__m128i>()));
-            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            let k = _mm_loadu_si128(K.as_ptr().add(4 * i).cast::<__m128i>());
+            for s in 0..N {
+                // `w[s]` holds message words W[i..i + 4], four per lane,
+                // and shifts by one group per round, so every index is a
+                // constant and the schedule stays in registers.
+                let [w0, w1, w2, w3] = w[s];
+                let wk = _mm_add_epi32(w0, k);
+                cdgh[s] = _mm_sha256rnds2_epu32(cdgh[s], abef[s], wk);
+                abef[s] = _mm_sha256rnds2_epu32(abef[s], cdgh[s], _mm_shuffle_epi32::<0x0E>(wk));
+                // W[i+4] = msg2(msg1(W[i], W[i+1]) + alignr(W[i+3], W[i+2], 4), W[i+3]);
+                // the last four rounds need no new words.
+                let next = if i < 12 {
+                    _mm_sha256msg2_epu32(
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2)),
+                        w3,
+                    )
+                } else {
+                    w0
+                };
+                w[s] = [w1, w2, w3, next];
+            }
         }
 
-        abef = _mm_add_epi32(abef, abef_save);
-        cdgh = _mm_add_epi32(cdgh, cdgh_save);
-        // Repack ABEF / CDGH back to [a,b,c,d] / [e,f,g,h].
-        let feba = _mm_shuffle_epi32::<0x1B>(abef);
-        let dchg = _mm_shuffle_epi32::<0xB1>(cdgh);
-        let out_dcba = _mm_blend_epi16::<0xF0>(feba, dchg);
-        let out_hgfe = _mm_alignr_epi8::<8>(dchg, feba);
-        _mm_storeu_si128(state.as_mut_ptr().cast::<__m128i>(), out_dcba);
-        _mm_storeu_si128(state.as_mut_ptr().add(4).cast::<__m128i>(), out_hgfe);
+        for s in 0..N {
+            let abef = _mm_add_epi32(abef[s], abef_save[s]);
+            let cdgh = _mm_add_epi32(cdgh[s], cdgh_save[s]);
+            // Repack ABEF / CDGH back to [a,b,c,d] / [e,f,g,h].
+            let feba = _mm_shuffle_epi32::<0x1B>(abef);
+            let dchg = _mm_shuffle_epi32::<0xB1>(cdgh);
+            let out_dcba = _mm_blend_epi16::<0xF0>(feba, dchg);
+            let out_hgfe = _mm_alignr_epi8::<8>(dchg, feba);
+            _mm_storeu_si128(states[s].as_mut_ptr().cast::<__m128i>(), out_dcba);
+            _mm_storeu_si128(states[s].as_mut_ptr().add(4).cast::<__m128i>(), out_hgfe);
+        }
     }
 }
 
@@ -465,15 +542,85 @@ mod tests {
         if !shani::available() {
             return; // nothing to cross-check on this CPU
         }
-        let mut hw = Sha256::new();
-        let mut scalar = Sha256::new();
+        let mut hw = H0;
+        let mut scalar = H0;
         for round in 0u32..200 {
             let block: [u8; 64] =
                 std::array::from_fn(|j| (round.wrapping_mul(31).wrapping_add(j as u32 * 7)) as u8);
             // SAFETY: guarded by `available()` above.
-            unsafe { shani::compress(&mut hw.state, &block) };
-            scalar.compress_scalar(&block);
-            assert_eq!(hw.state, scalar.state, "diverged at block {round}");
+            unsafe { shani::compress([&mut hw], [&block]) };
+            compress_scalar(&mut scalar, &block);
+            assert_eq!(hw, scalar, "diverged at block {round}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn two_stream_and_scalar_compressions_agree() {
+        if !shani::available() {
+            return; // nothing to cross-check on this CPU
+        }
+        let mut hw = [H0, H0];
+        let mut scalar = [H0, H0];
+        for round in 0u32..200 {
+            let a: [u8; 64] =
+                std::array::from_fn(|j| (round.wrapping_mul(31).wrapping_add(j as u32 * 7)) as u8);
+            let mut b: [u8; 64] =
+                std::array::from_fn(|j| (round.wrapping_mul(57) ^ (j as u32 * 13)) as u8);
+            if round % 5 == 0 {
+                // An equal pair: same state, same block in both streams.
+                b = a;
+                hw[1] = hw[0];
+                scalar[1] = scalar[0];
+            }
+            let [hw_a, hw_b] = &mut hw;
+            // SAFETY: guarded by `available()` above.
+            unsafe { shani::compress([hw_a, hw_b], [&a, &b]) };
+            compress_scalar(&mut scalar[0], &a);
+            compress_scalar(&mut scalar[1], &b);
+            assert_eq!(hw, scalar, "diverged at block pair {round}");
+        }
+    }
+
+    #[test]
+    fn pair_dispatch_equals_two_compressions() {
+        let mut pair = [H0, H0];
+        let mut single = [H0, H0];
+        for round in 0u32..20 {
+            let a: [u8; 64] = std::array::from_fn(|j| (round * 3 + j as u32) as u8);
+            let b: [u8; 64] = std::array::from_fn(|j| ((round * 11) ^ j as u32) as u8);
+            let [pa, pb] = &mut pair;
+            compress_pair([pa, pb], [&a, &b]);
+            compress(&mut single[0], &a);
+            compress(&mut single[1], &b);
+            assert_eq!(pair, single, "diverged at block pair {round}");
+        }
+    }
+
+    #[test]
+    fn padded_template_completes_the_message() {
+        // Every tail length and hole size the grinding midstates can meet:
+        // filling the hole and compressing the template's blocks must give
+        // the digest of the continued message.
+        for prefix_len in 0..=200usize {
+            let prefix: Vec<u8> = (0..prefix_len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut h = Sha256::new();
+            h.update(&prefix);
+            for hole in [0usize, 1, 8, 9] {
+                let continuation: Vec<u8> = (0..hole).map(|i| 0xF0 ^ i as u8).collect();
+                let (mut state, mut template, blocks, at) = h.padded_template(hole);
+                template.as_flattened_mut()[at..at + hole].copy_from_slice(&continuation);
+                for block in &template[..blocks] {
+                    compress(&mut state, block);
+                }
+                let mut full = h.clone();
+                full.update(&continuation);
+                assert_eq!(
+                    digest(&state),
+                    full.finalize(),
+                    "prefix {prefix_len}, hole {hole}"
+                );
+            }
         }
     }
 }

@@ -143,6 +143,28 @@ impl ExperimentConfig {
             checkpoints: default_checkpoints(horizon),
         }
     }
+
+    /// The most atoms the run can put in circulation, or `None` when that
+    /// exceeds `u64::MAX` and the ledger would overflow mid-run. The bound
+    /// is exact: a block network starts with the miners' stakes and the
+    /// synthetic users' funds and issues one block reward per block; a
+    /// C-PoS network starts with the stakes and issues the proposer and
+    /// attester rewards per epoch.
+    #[must_use]
+    pub fn max_supply(&self) -> Option<u64> {
+        let stakes = self
+            .initial_stakes
+            .iter()
+            .try_fold(0u64, |sum, &stake| sum.checked_add(stake))?;
+        let (genesis, per_block) = match self.protocol {
+            ProtocolKind::CPos => (stakes, self.block_reward.checked_add(self.attester_reward)?),
+            _ => (
+                stakes.checked_add(NetworkSim::USER_FUNDS * NetworkSim::USER_COUNT as u64)?,
+                self.block_reward,
+            ),
+        };
+        genesis.checked_add(self.horizon.checked_mul(per_block)?)
+    }
 }
 
 /// Ten roughly log-spaced checkpoints up to `horizon`.
@@ -336,6 +358,41 @@ mod tests {
             "{}",
             out.final_lambda
         );
+    }
+
+    #[test]
+    fn max_supply_is_the_exact_issuance_bound() {
+        let pow = ExperimentConfig::two_miner(ProtocolKind::Pow, 0.2, 0.01, 50);
+        assert_eq!(
+            pow.max_supply(),
+            Some(1_000_000 + 8 * 1_000_000 + 50 * 10_000)
+        );
+        let cpos = ExperimentConfig::two_miner(ProtocolKind::CPos, 0.2, 0.01, 50);
+        assert_eq!(cpos.max_supply(), Some(1_000_000 + 50 * (10_000 + 100_000)));
+        // w = 1e12 and 1e13 put 1e18 and 1e19 atoms in each block reward:
+        // 50 blocks overflow u64.
+        for w in [1e12, 1e13] {
+            let config = ExperimentConfig::two_miner(ProtocolKind::Pow, 0.2, w, 50);
+            assert_eq!(config.max_supply(), None, "w = {w}");
+        }
+        // The bound is exact: the largest horizon that fits is accepted.
+        let mut edge = ExperimentConfig::two_miner(ProtocolKind::Pow, 0.2, 1e12, 1);
+        edge.horizon = (u64::MAX - 9_000_000) / edge.block_reward;
+        assert!(edge.max_supply().is_some());
+        edge.horizon += 1;
+        assert_eq!(edge.max_supply(), None);
+    }
+
+    #[test]
+    fn a_run_at_the_supply_bound_completes() {
+        // A network whose issuance ends exactly at the bound's edge runs
+        // to its horizon without a ledger overflow.
+        let mut config = ExperimentConfig::two_miner(ProtocolKind::Pow, 0.2, 0.01, 20);
+        config.block_reward = (u64::MAX - 9_000_000) / 20;
+        assert!(config.max_supply().is_some());
+        let mut rng = Xoshiro256StarStar::new(8);
+        let outcome = run_experiment(&config, &mut rng);
+        assert_eq!(outcome.lambda_series.len(), config.checkpoints.len());
     }
 
     #[test]

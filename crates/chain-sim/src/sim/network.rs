@@ -143,9 +143,9 @@ pub struct NetworkSim {
 
 impl NetworkSim {
     /// Funds granted to each synthetic user at genesis.
-    const USER_FUNDS: u64 = 1_000_000;
+    pub(crate) const USER_FUNDS: u64 = 1_000_000;
     /// Number of synthetic users.
-    const USER_COUNT: usize = 8;
+    pub(crate) const USER_COUNT: usize = 8;
 
     /// Builds the network: genesis block, genesis stake allocation, miner
     /// profiles and initial user traffic schedule.

@@ -29,9 +29,13 @@ fn test_opts(dir: &Path) -> ReproOptions {
 }
 
 /// One request over a fresh connection; returns (status line, body).
-/// Responses are close-delimited, so read-to-EOF is the framing.
+/// Responses are close-delimited, so read-to-EOF is the framing. A stream
+/// that stalls (a wedged executor) fails the read instead of hanging.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
     write!(
         stream,
         "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
@@ -355,14 +359,19 @@ fn backpressure_and_routing_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `system` cross-check where one miner holds no share is refused with
-/// its typed code before any job is queued. The daemon keeps serving: a
-/// valid batch with a cross-check posted next completes, and a drain
-/// still stops it cleanly.
-/// Posts each `refused` body and expects a 400 carrying its validation
-/// code, then expects `valid` to complete and `/admin/drain` to stop the
+/// Where the daemon refuses a body, with the code it must report.
+enum Refusal {
+    /// The `.scn` parser answers `400` before any job is queued.
+    Parse(&'static str),
+    /// The job's NDJSON stream ends in a `failed` event before any
+    /// simulation runs.
+    Job(&'static str),
+}
+
+/// Posts each `refused` body and expects its code where [`Refusal`] says,
+/// then expects `valid` to complete and `/admin/drain` to stop the
 /// server: a refused body must not wedge the executor.
-fn refuses_then_serves(dir: &str, with_system: bool, refused: &[(String, &str)], valid: &str) {
+fn refuses_then_serves(dir: &str, with_system: bool, refused: &[(String, Refusal)], valid: &str) {
     let dir = std::env::temp_dir().join(dir);
     let _ = std::fs::remove_dir_all(&dir);
     let mut opts = test_opts(&dir);
@@ -371,13 +380,28 @@ fn refuses_then_serves(dir: &str, with_system: bool, refused: &[(String, &str)],
     let server = Server::bind("127.0.0.1:0", opts).expect("bind");
     let (addr, run) = spawn(&server, || false);
 
-    for (body, code) in refused {
+    let mut failed_jobs = 0;
+    for (body, refusal) in refused {
         let (status, response) = request(addr, "POST", "/v1/scenarios", body);
-        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{response}");
-        assert!(
-            response.contains(&format!("\"code\":\"{code}\"")),
-            "{response}"
-        );
+        match refusal {
+            Refusal::Parse(code) => {
+                assert_eq!(status, "HTTP/1.1 400 Bad Request", "{response}");
+                assert!(
+                    response.contains(&format!("\"code\":\"{code}\"")),
+                    "{response}"
+                );
+            }
+            Refusal::Job(code) => {
+                assert_eq!(status, "HTTP/1.1 200 OK", "{response}");
+                let last = response.lines().last().expect("events");
+                assert!(
+                    last.contains("\"event\":\"failed\"")
+                        && last.contains(&format!("\"code\":\"{code}\"")),
+                    "{response}"
+                );
+                failed_jobs += 1;
+            }
+        }
     }
     let (status, body) = request(addr, "POST", "/v1/scenarios", valid);
     assert_eq!(status, "HTTP/1.1 200 OK");
@@ -390,7 +414,7 @@ fn refuses_then_serves(dir: &str, with_system: bool, refused: &[(String, &str)],
     );
     let (_, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(metric(&metrics, "fairness_jobs_inflight"), 0);
-    assert_eq!(metric(&metrics, "fairness_jobs_failed_total"), 0);
+    assert_eq!(metric(&metrics, "fairness_jobs_failed_total"), failed_jobs);
 
     let (status, body) = request(addr, "POST", "/admin/drain", "");
     assert_eq!(status, "HTTP/1.1 200 OK");
@@ -400,6 +424,10 @@ fn refuses_then_serves(dir: &str, with_system: bool, refused: &[(String, &str)],
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `system` cross-check where one miner holds no share is refused with
+/// its typed code before any job is queued. The daemon keeps serving: a
+/// valid batch with a cross-check posted next completes, and a drain
+/// still stops it cleanly.
 #[test]
 fn zero_share_system_is_refused_and_the_daemon_drains() {
     let batch = |shares: &str| {
@@ -416,8 +444,34 @@ fn zero_share_system_is_refused_and_the_daemon_drains() {
     refuses_then_serves(
         "fairness-serve-zero-share",
         true,
-        &[(batch("[0.0, 1.0]"), code), (batch("[1.0, 0.0]"), code)],
+        &[
+            (batch("[0.0, 1.0]"), Refusal::Parse(code)),
+            (batch("[1.0, 0.0]"), Refusal::Parse(code)),
+        ],
         &batch("[0.3, 0.7]"),
+    );
+}
+
+/// A cross-check whose block rewards would overflow the `u64` ledger
+/// fails its job with `supply-overflow` before any simulation runs, where
+/// it used to panic the executor mid-run and leave every later job queued.
+#[test]
+fn overflowing_system_issuance_fails_its_job_and_the_daemon_drains() {
+    let batch = |w: &str| {
+        format!(
+            "scenario \"rich\" {{\n\
+             \x20 protocol = pow(w = {w})\n\
+             \x20 shares = [0.2, 0.8]\n\
+             \x20 checkpoints = linear(100, 5)\n\
+             \x20 system = pow(horizon = 50, salt = 1)\n\
+             }}\n"
+        )
+    };
+    refuses_then_serves(
+        "fairness-serve-supply-overflow",
+        true,
+        &[(batch("1e13"), Refusal::Job("supply-overflow"))],
+        &batch("0.01"),
     );
 }
 
@@ -435,7 +489,10 @@ fn overflowing_share_total_is_refused_and_the_daemon_drains() {
     refuses_then_serves(
         "fairness-serve-share-overflow",
         false,
-        &[(batch("[1e308, 1e308]"), "share-total-overflow")],
+        &[(
+            batch("[1e308, 1e308]"),
+            Refusal::Parse("share-total-overflow"),
+        )],
         &batch("[0.3, 0.7]"),
     );
 }
