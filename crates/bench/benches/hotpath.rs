@@ -44,7 +44,11 @@ fn bench_game<P: fairness_core::protocol::IncentiveProtocol + Clone + 'static>(
 fn bench_steps(c: &mut Criterion) {
     let two = two_miner(0.2);
     let ten = paper_multi_miner(10, 0.2);
+    // SL-PoS at 2 miners takes the pipelined kernel, at 3 or more the
+    // fused race kernel: one row per miner count Table 1 sweeps.
     bench_game(c, "sl-pos", SlPos::new(0.01), &two);
+    bench_game(c, "sl-pos", SlPos::new(0.01), &paper_multi_miner(3, 0.2));
+    bench_game(c, "sl-pos", SlPos::new(0.01), &paper_multi_miner(5, 0.2));
     bench_game(c, "sl-pos", SlPos::new(0.01), &ten);
     bench_game(c, "ml-pos", MlPos::new(0.01), &two);
     bench_game(c, "ml-pos", MlPos::new(0.01), &ten);

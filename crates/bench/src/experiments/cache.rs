@@ -17,7 +17,9 @@
 
 use super::diskcache;
 use fairness_core::fairness::EpsilonDelta;
-use fairness_core::montecarlo::{run_ensemble, EnsembleConfig, EnsembleSummary};
+use fairness_core::montecarlo::{
+    run_ensemble, run_ensemble_settled, EnsembleConfig, EnsembleSummary,
+};
 use fairness_core::protocol::IncentiveProtocol;
 use fairness_core::withholding::WithholdingSchedule;
 use fairness_stats::cache::{MemoCache, StableHasher};
@@ -40,6 +42,12 @@ pub struct EnsembleKey {
     eps_delta: (u64, u64),
     /// Withholding period, if any.
     withholding: Option<u64>,
+    /// Set for a settled probe ([`SweepCache::settled_probe`]), which
+    /// stops at the first repetition prefix that settles `mean λ_A > 1/2`:
+    /// a different result from the full ensemble, so it never shares its
+    /// memo entry or spill file. Left out of [`seed`](Self::seed), so a
+    /// probe's repetitions are the full ensemble's first ones.
+    settled: bool,
 }
 
 impl EnsembleKey {
@@ -63,6 +71,16 @@ impl EnsembleKey {
             repetitions,
             eps_delta: (eps_delta.epsilon.to_bits(), eps_delta.delta.to_bits()),
             withholding: withholding.map(|w| w.period),
+            settled: false,
+        }
+    }
+
+    /// The key of the settled probe over the same configuration.
+    #[must_use]
+    pub(crate) fn settled(self) -> Self {
+        Self {
+            settled: true,
+            ..self
         }
     }
 
@@ -76,10 +94,17 @@ impl EnsembleKey {
     /// the current code would compute, so any release — and any
     /// simulation-behavior change, which must bump the revision — orphans
     /// every existing spill rather than serving stale trajectories.
+    ///
+    /// A settled probe's digest starts from its own domain tag, so it can
+    /// never name the full ensemble's spill file.
     #[must_use]
     pub fn disk_digest(&self, master_seed: u64) -> u64 {
         let mut h = StableHasher::new();
-        h.write_str("ensemble-spill-v1");
+        h.write_str(if self.settled {
+            "settled-probe-spill-v1"
+        } else {
+            "ensemble-spill-v1"
+        });
         h.write_str(env!("CARGO_PKG_VERSION"));
         h.write_u64(super::diskcache::SIMULATION_REVISION);
         h.write_u64(self.seed(master_seed));
@@ -179,6 +204,62 @@ impl SweepCache {
             self.eps_delta,
             withholding,
         );
+        self.lookup(
+            key,
+            shares,
+            checkpoints,
+            repetitions,
+            withholding,
+            |config| run_ensemble(protocol, config),
+        )
+    }
+
+    /// A monopolization-threshold probe: like [`ensemble`](Self::ensemble)
+    /// without withholding, but the ensemble stops at the first repetition
+    /// prefix that settles whether miner A's mean final `λ` exceeds 1/2
+    /// ([`run_ensemble_settled`]). The summary covers exactly that prefix
+    /// (its `repetitions` is the prefix length, at any `--jobs`), and its
+    /// `final_point().mean > 0.5` is the full ensemble's verdict.
+    ///
+    /// Seeded by the unchanged [`EnsembleKey::seed`]; memoized and spilled
+    /// under the settled key and digest, so a probe never answers, or is
+    /// answered by, a full-ensemble lookup. Counts toward
+    /// [`hits`](Self::hits) and [`misses`](Self::misses) like any lookup.
+    pub fn settled_probe<P>(
+        &self,
+        protocol: &P,
+        shares: &[f64],
+        checkpoints: &[u64],
+        repetitions: usize,
+    ) -> Arc<EnsembleSummary>
+    where
+        P: IncentiveProtocol + Clone,
+    {
+        let key = EnsembleKey::new(
+            protocol,
+            shares,
+            checkpoints,
+            repetitions,
+            self.eps_delta,
+            None,
+        )
+        .settled();
+        self.lookup(key, shares, checkpoints, repetitions, None, |config| {
+            run_ensemble_settled(protocol, config)
+        })
+    }
+
+    /// The memoized, spilled lookup behind [`ensemble`](Self::ensemble)
+    /// and [`settled_probe`](Self::settled_probe).
+    fn lookup(
+        &self,
+        key: EnsembleKey,
+        shares: &[f64],
+        checkpoints: &[u64],
+        repetitions: usize,
+        withholding: Option<WithholdingSchedule>,
+        compute: impl FnOnce(&EnsembleConfig) -> EnsembleSummary,
+    ) -> Arc<EnsembleSummary> {
         let seed = key.seed(self.master_seed);
         let digest = key.disk_digest(self.master_seed);
         self.inner.get_or_insert_with(&key, || {
@@ -186,8 +267,14 @@ impl SweepCache {
                 if let Some(spilled) = diskcache::load(dir, digest) {
                     // Shape guard against the astronomically unlikely
                     // digest collision (and the merely unlikely hand-edited
-                    // file): a mismatched spill is treated as corrupt.
-                    if spilled.repetitions == repetitions
+                    // file): a mismatched spill is treated as corrupt. A
+                    // settled probe holds a prefix of the repetitions.
+                    let reps_fit = if key.settled {
+                        (1..=repetitions).contains(&spilled.repetitions)
+                    } else {
+                        spilled.repetitions == repetitions
+                    };
+                    if reps_fit
                         && spilled.points.len() == checkpoints.len()
                         && spilled
                             .points
@@ -208,7 +295,7 @@ impl SweepCache {
                 eps_delta: self.eps_delta,
                 withholding,
             };
-            let summary = run_ensemble(protocol, &config);
+            let summary = compute(&config);
             if let Some(dir) = &self.disk {
                 diskcache::store(dir, digest, &summary);
             }
@@ -411,6 +498,88 @@ mod tests {
         assert_eq!(*a, *c);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn settled_probe_and_full_ensemble_share_no_entry_or_spill() {
+        let dir = std::env::temp_dir().join("fairness-sweepcache-settled");
+        let _ = std::fs::remove_dir_all(&dir);
+        // A two-miner SL-PoS game far below the threshold: the verdict
+        // settles long before all 40 repetitions.
+        let (shares, cp) = (two_miner(0.1), [2_000]);
+        let cache = SweepCache::with_disk(3, dir.clone());
+        let probe = cache.settled_probe(&SlPos::new(0.01), &shares, &cp, 40);
+        let full = cache.ensemble(&SlPos::new(0.01), &shares, &cp, 40, None);
+        assert_eq!(cache.misses(), 2, "neither lookup answered the other");
+        assert_eq!(cache.len(), 2, "two memo entries");
+        assert!(
+            probe.repetitions < full.repetitions,
+            "the probe settled early"
+        );
+        assert_eq!(
+            probe.final_point().mean > 0.5,
+            full.final_point().mean > 0.5,
+            "the same verdict"
+        );
+
+        let key = EnsembleKey::new(
+            &SlPos::new(0.01),
+            &shares,
+            &cp,
+            40,
+            EpsilonDelta::default(),
+            None,
+        );
+        let settled = key.clone().settled();
+        assert_ne!(key, settled);
+        assert_eq!(key.seed(3), settled.seed(3), "the same repetitions");
+        assert_ne!(key.disk_digest(3), settled.disk_digest(3));
+        assert_eq!(diskcache::scan(&dir).expect("scan").entries, 2);
+        assert_eq!(
+            diskcache::load(&dir, key.disk_digest(3)),
+            Some((*full).clone())
+        );
+        assert_eq!(
+            diskcache::load(&dir, settled.disk_digest(3)),
+            Some((*probe).clone())
+        );
+
+        // A fresh cache answers each lookup from its own spill file.
+        let fresh = SweepCache::with_disk(3, dir.clone());
+        assert_eq!(
+            *fresh.ensemble(&SlPos::new(0.01), &shares, &cp, 40, None),
+            *full
+        );
+        assert_eq!(
+            *fresh.settled_probe(&SlPos::new(0.01), &shares, &cp, 40),
+            *probe
+        );
+        assert_eq!(fresh.disk_hits(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn settled_probe_is_the_same_prefix_at_any_thread_count() {
+        // The stored summary covers exactly the first settled prefix,
+        // however many repetitions the workers ran past it. (The thread
+        // budget is process-global; it never changes results, so tests
+        // running alongside are unaffected.)
+        let run = |threads: usize| {
+            fairness_stats::mc::set_global_threads(threads);
+            let cache = SweepCache::new(21);
+            let shares = fairness_core::miner::paper_multi_miner(3, 0.45);
+            cache.settled_probe(&SlPos::new(0.01), &shares, &[3_000], 64)
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            assert_eq!(*run(threads), *serial, "threads = {threads}");
+        }
+        fairness_stats::mc::set_global_threads(0);
+        assert!(
+            serial.repetitions < 64,
+            "settles early: {}",
+            serial.repetitions
+        );
     }
 
     #[test]

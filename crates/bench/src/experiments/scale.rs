@@ -27,8 +27,9 @@ use super::table1::monopolization_threshold;
 use super::SweepSession;
 use crate::report::{fmt4, write_csv, TextTable};
 use fairness_core::prelude::*;
-use fairness_stats::mc::{run_monte_carlo, McConfig};
+use fairness_stats::mc::{run_monte_carlo, run_monte_carlo_until, McConfig};
 use fairness_stats::rng::mix_seed;
+use fairness_stats::summary::MeanAboveHalf;
 use std::fmt::Write as _;
 use std::io;
 
@@ -127,6 +128,14 @@ fn fairness_point(m: usize, reps: usize, seed: u64) -> FairnessPoint {
 /// probe runs the O(1)-per-step [`AggregatedTailGame`] against the `m − 1`
 /// folded equal opponents instead of an m-column ensemble.
 ///
+/// Each probe stops at the first repetition prefix that settles whether
+/// the mean final `λ_A` exceeds 1/2 ([`MeanAboveHalf`]), and decides by
+/// the prefix's mean. The mean here sums in index order (`Σ / len`), and
+/// the rule's widening bounds that order's rounding as well as the sorted
+/// sum's: summing `R` values in `[0, 1]` one after another errs by less
+/// than `R²·ε` in any order, so the settled verdict is the one all `reps`
+/// repetitions would give, bit for bit the same threshold.
+///
 /// The folded tail is exchangeable (its rewards spread evenly), so unlike
 /// the full game it can never grow a runaway rival: the returned threshold
 /// saturates at the fragmentation limit (~0.13 for `w = 0.01`) instead of
@@ -139,11 +148,16 @@ pub fn tail_monopolization_threshold(m: usize, horizon: u64, reps: usize, seed: 
     assert!(m >= 2, "need at least two miners");
     let monopolizes = |a: f64, probe: u64| {
         let point_seed = mix_seed(seed, ((m as u64) << 8) | probe);
-        let lambdas = run_monte_carlo(McConfig::new(reps, point_seed), |_i, rng| {
-            let mut game = AggregatedTailGame::new(TailKernel::SlPosRace, a, m - 1, W_DEFAULT);
-            game.run(horizon, rng);
-            game.lambda_a()
-        });
+        let mut verdict = MeanAboveHalf::new(reps);
+        let lambdas = run_monte_carlo_until(
+            McConfig::new(reps, point_seed),
+            |_i, rng| {
+                let mut game = AggregatedTailGame::new(TailKernel::SlPosRace, a, m - 1, W_DEFAULT);
+                game.run(horizon, rng);
+                game.lambda_a()
+            },
+            |&lambda| verdict.push(lambda),
+        );
         lambdas.iter().sum::<f64>() / lambdas.len() as f64 > 0.5
     };
     let (mut lo, mut hi) = (0.0f64, 1.0f64);

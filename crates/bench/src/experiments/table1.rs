@@ -93,14 +93,30 @@ struct Row {
 /// the smallest initial share `a*` (to `2⁻⁷` precision by bisection) at
 /// which the tracked miner's mean final reward proportion exceeds one
 /// half — i.e. she wins the winner-take-all dynamics more often than not
-/// against `m − 1` equal opponents. Every probed ensemble goes through the
-/// sweep cache, so the bisection path is deterministic, memoized and
-/// byte-stable for any `--jobs`.
+/// against `m − 1` equal opponents. Every probe goes through the sweep
+/// cache, so the bisection path is deterministic, memoized and byte-stable
+/// for any `--jobs`.
+///
+/// A probe needs only the verdict `mean λ_A > 1/2`, so it is a settled
+/// probe ([`SweepCache::settled_probe`](super::SweepCache::settled_probe)):
+/// it stops at the first repetition prefix whose verdict the remaining
+/// repetitions cannot change. The rule is exact. With `R` repetitions and
+/// every `λ` in `[0, 1]`, the full sum after `k` of them lies in
+/// `[S_k, S_k + (R − k)]`; widened by a bound on the floating-point error
+/// of summing `R` terms in any order (the summary sums the sorted
+/// column), once that interval lies strictly above or below `R/2` the
+/// full ensemble's `mean > 0.5` is decided, and the settled prefix's own
+/// mean decides the same way ([`MeanAboveHalf`] has the bound). A probe
+/// that never settles runs all `R` repetitions and decides exactly as a
+/// full ensemble does. Repetition `i` is seeded as in the full ensemble,
+/// so the thresholds are bit-equal to a full-ensemble bisection.
 ///
 /// Sakurai & Shudo (arXiv:2506.13360) observe that fairness conclusions
 /// are scale-dependent; here the long-horizon threshold tracks `1/m` (the
 /// share that makes her the largest miner) rather than a fixed constant —
 /// the "rich get richer" cutoff moves with the miner count.
+///
+/// [`MeanAboveHalf`]: fairness_stats::summary::MeanAboveHalf
 #[must_use]
 pub fn monopolization_threshold(
     ctx: &SweepSession,
@@ -112,13 +128,9 @@ pub fn monopolization_threshold(
     let monopolizes = |a: f64| {
         let mut shares = vec![a];
         shares.extend(std::iter::repeat_n((1.0 - a) / (m as f64 - 1.0), m - 1));
-        let summary = ctx.cache.ensemble(
-            &SlPos::new(W_DEFAULT),
-            &shares,
-            &[horizon],
-            repetitions,
-            None,
-        );
+        let summary =
+            ctx.cache
+                .settled_probe(&SlPos::new(W_DEFAULT), &shares, &[horizon], repetitions);
         summary.final_point().mean > 0.5
     };
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
@@ -352,6 +364,49 @@ mod tests {
         assert!(specs
             .iter()
             .all(|s| s.repetitions.is_none() || s.repetitions == Some(2000)));
+    }
+
+    /// The bisection with a full ensemble per probe: the reference the
+    /// settled probes must reproduce bit for bit.
+    fn full_ensemble_threshold(ctx: &SweepSession, m: usize, horizon: u64, reps: usize) -> f64 {
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..7 {
+            let mid = (lo + hi) / 2.0;
+            let mut shares = vec![mid];
+            shares.extend(std::iter::repeat_n((1.0 - mid) / (m as f64 - 1.0), m - 1));
+            let full = ctx
+                .cache
+                .ensemble(&SlPos::new(W_DEFAULT), &shares, &[horizon], reps, None);
+            if full.final_point().mean > 0.5 {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    #[test]
+    fn settled_bisection_equals_the_full_ensemble_bisection() {
+        for jobs in [1, 4] {
+            fairness_stats::mc::set_global_threads(jobs);
+            let mut opts = tiny_opts(&format!("table1-settled-jobs{jobs}"));
+            opts.jobs = jobs;
+            let h = SweepService::new(opts);
+            let ctx = h.session();
+            for m in [2, 3, 10] {
+                let settled = monopolization_threshold(&ctx, m, 5_000, 24);
+                let misses = ctx.cache.misses();
+                let full = full_ensemble_threshold(&ctx, m, 5_000, 24);
+                assert_eq!(settled.to_bits(), full.to_bits(), "m={m}, jobs={jobs}");
+                assert_eq!(
+                    ctx.cache.misses() - misses,
+                    7,
+                    "full ensembles never hit settled probes (m={m})"
+                );
+            }
+        }
+        fairness_stats::mc::set_global_threads(0);
     }
 
     #[test]

@@ -77,6 +77,12 @@ impl JobPool {
         }
     }
 
+    /// Helper permits free right now (`jobs − 1` when the pool is idle).
+    #[cfg(test)]
+    pub(crate) fn free_permits(&self) -> usize {
+        *self.permits.lock().expect("pool lock")
+    }
+
     fn release(&self) {
         *self.permits.lock().expect("pool lock") += 1;
     }
@@ -200,6 +206,6 @@ mod tests {
         for _ in 0..3 {
             let _ = pool.par_map(10, |i| i);
         }
-        assert_eq!(*pool.permits.lock().unwrap(), 2);
+        assert_eq!(pool.free_permits(), 2);
     }
 }

@@ -82,12 +82,21 @@ pub enum ScenarioError {
         /// The rendered I/O error.
         message: String,
     },
+    /// The batch panicked: a bug in simulation or report code, not in the
+    /// request. The service contains it, fails the job with this error and
+    /// keeps serving.
+    Panicked {
+        /// The panic's payload message.
+        message: String,
+    },
 }
 
 impl ScenarioError {
     /// Stable kebab-case identifier for wire responses. Spec-validation
     /// failures surface the violated invariant's own code
-    /// ([`ValidationError::code`], e.g. `duplicate-param`).
+    /// ([`ValidationError::code`], e.g. `duplicate-param`); the others are
+    /// `registry`, `unknown-engine`, `supply-overflow`, `slug-collision`,
+    /// `cancelled`, `io`, and `internal-panic` for a batch that panicked.
     #[must_use]
     pub fn code(&self) -> &'static str {
         match self {
@@ -98,6 +107,7 @@ impl ScenarioError {
             ScenarioError::SlugCollision { .. } => "slug-collision",
             ScenarioError::Cancelled => "cancelled",
             ScenarioError::Io { .. } => "io",
+            ScenarioError::Panicked { .. } => "internal-panic",
         }
     }
 }
@@ -136,6 +146,9 @@ impl fmt::Display for ScenarioError {
             ),
             ScenarioError::Cancelled => write!(f, "job cancelled before the batch finished"),
             ScenarioError::Io { message } => write!(f, "writing results failed: {message}"),
+            ScenarioError::Panicked { message } => {
+                write!(f, "internal error: the batch panicked: {message}")
+            }
         }
     }
 }

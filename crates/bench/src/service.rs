@@ -40,6 +40,7 @@ use fairness_core::withholding::WithholdingSchedule;
 use fairness_stats::cache::StableHasher;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -320,6 +321,18 @@ impl SweepJob {
         inner.wall_seconds = wall_seconds;
         drop(inner);
         self.changed.notify_all();
+    }
+}
+
+/// The text of a panic payload (`panic!` with a literal or a formatted
+/// message); other payload types read as a generic note.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-text panic payload".to_owned()
     }
 }
 
@@ -709,8 +722,20 @@ impl SweepService {
     /// Executes a claimed job to its terminal phase: runs the batch
     /// through [`crate::runner::scenario_report`] with a job-bound
     /// session (progress events, cancellation checks), stores the report
-    /// or error, and updates the service counters.
+    /// or error, and updates the service counters. A panic inside the
+    /// batch is contained: the job fails with code `internal-panic`, its
+    /// in-flight slot is released, and the service keeps serving.
     pub fn execute(&self, job: &Arc<SweepJob>) {
+        self.execute_with(job, scenario_report);
+    }
+
+    /// [`execute`](Self::execute) with the batch runner as a parameter, so
+    /// tests can drive the guarded path with a runner that panics.
+    fn execute_with(
+        &self,
+        job: &Arc<SweepJob>,
+        run: impl FnOnce(&SweepSession, &[ScenarioSpec]) -> Result<String, ScenarioError>,
+    ) {
         // Each path updates the metrics, the in-flight gauge included,
         // before publishing the terminal event, so a client that has read
         // the event sees this job finished in `/metrics`.
@@ -735,7 +760,16 @@ impl SweepService {
             job: Some(job),
         };
         let started = Instant::now();
-        let result = scenario_report(&session, &job.specs);
+        // Nothing the batch shares with later jobs is left half-updated by
+        // an unwind: pool permits return on drop, a panicking cache
+        // computation frees its key and wakes its waiters, and Monte-Carlo
+        // workers are joined by their scope before the panic leaves it.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| run(&session, &job.specs)))
+            .unwrap_or_else(|payload| {
+                Err(ScenarioError::Panicked {
+                    message: panic_message(payload.as_ref()),
+                })
+            });
         let wall = started.elapsed().as_secs_f64();
         let mut walls = self.metrics.target_walls.lock().expect("metrics lock");
         walls.push((format!("job:{:016x}", job.fingerprint), wall));
@@ -771,8 +805,17 @@ impl SweepService {
     /// submission order (inner sweep points still parallelize over the
     /// pool) and event streams are deterministic at `--jobs 1`.
     pub fn serve_worker(&self) {
+        self.serve_with(scenario_report);
+    }
+
+    /// [`serve_worker`](Self::serve_worker) over
+    /// [`execute_with`](Self::execute_with)'s runner parameter.
+    fn serve_with(
+        &self,
+        run: impl Fn(&SweepSession, &[ScenarioSpec]) -> Result<String, ScenarioError>,
+    ) {
         while let Some(job) = self.next_job() {
-            self.execute(&job);
+            self.execute_with(&job, &run);
         }
     }
 
@@ -1127,6 +1170,63 @@ mod tests {
         svc.execute(&svc.next_job().expect("job"));
         assert_eq!(next.phase(), JobPhase::Done);
         assert_eq!(svc.metrics().jobs_inflight, 0);
+    }
+
+    /// A batch that panics — here inside a pool worker, as a bug in
+    /// simulation code would — fails its job with `internal-panic` through
+    /// the same guarded path `serve_worker` takes; the in-flight slot and
+    /// the pool's permits come back, and the worker runs the next job.
+    #[test]
+    fn panicking_batch_fails_its_job_and_the_worker_serves_on() {
+        let mut opts = tiny_opts("svc-panic");
+        opts.jobs = 2;
+        let svc = SweepService::new(opts);
+        let (bad, _) = svc.submit(vec![spec("boom", 0.01)]).expect("submit");
+        let (next, _) = svc.submit(vec![spec("after", 0.01)]).expect("submit");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                svc.serve_with(|session, specs| {
+                    if specs[0].name == "boom" {
+                        session
+                            .pool
+                            .par_map(4, |i| assert!(i < 3, "injected failure in item {i}"));
+                    }
+                    scenario_report(session, specs)
+                });
+            });
+            // A bounded wait rather than `drain` alone, so a worker that
+            // died with the first job fails the test instead of hanging it.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let mut cursor = 0;
+            loop {
+                let (_, after, done) = next.wait_events(cursor, Duration::from_millis(100));
+                if done {
+                    break;
+                }
+                cursor = after;
+                assert!(Instant::now() < deadline, "the worker stopped serving");
+            }
+            svc.drain();
+        });
+        assert_eq!(bad.phase(), JobPhase::Failed);
+        let (events, _, done) = bad.events_since(0);
+        assert!(done, "the panicking job's stream ends");
+        assert!(matches!(
+            events.last(),
+            Some(ProgressEvent::Failed {
+                code: "internal-panic",
+                ..
+            })
+        ));
+        assert!(matches!(bad.error(), Some(ScenarioError::Panicked { .. })));
+        assert_eq!(next.phase(), JobPhase::Done, "the next queued job ran");
+        let m = svc.metrics();
+        assert_eq!(m.jobs_failed, 1);
+        assert_eq!(m.jobs_completed, 1);
+        assert_eq!(m.jobs_inflight, 0);
+        assert_eq!(m.queue_depth, 0);
+        assert_eq!(svc.pool().free_permits(), 1, "pool permits returned");
+        let _ = std::fs::remove_dir_all(&svc.opts().results_dir);
     }
 
     #[test]

@@ -208,26 +208,40 @@ impl<P: IncentiveProtocol> MiningGame<P> {
 
     /// Runs `n` steps.
     ///
-    /// Two-miner bare SL-PoS segments (the dominant cost of the paper's
-    /// sweeps) take a fused, software-pipelined kernel (see
-    /// `run_slpos_two_miner` below); outcomes are bit-identical to
-    /// stepping one at a time.
+    /// Bare SL-PoS segments (the dominant cost of the paper's sweeps)
+    /// with every stake positive and no withholding take a fused kernel
+    /// over the ledger's columns: the software-pipelined
+    /// `run_slpos_two_miner` at two miners, `run_slpos_race` at three or
+    /// more. Outcomes are bit-identical to stepping one at a time.
     #[inline]
     pub fn run(&mut self, n: u64, rng: &mut Xoshiro256StarStar) {
-        if n >= 2 && self.withholding.is_none() {
-            if let Some(reward) = self.protocol.slpos_core_reward() {
-                if let [s0, s1] = *self.ledger.stakes() {
-                    if s0 > 0.0 && s1 > 0.0 {
-                        debug_assert_eq!(reward, self.reward_per_step);
-                        self.run_slpos_two_miner(n, reward, rng);
-                        return;
-                    }
-                }
+        if let Some(reward) = self.fused_slpos_reward() {
+            debug_assert_eq!(reward, self.reward_per_step);
+            match self.ledger.len() {
+                2 if n >= 2 => return self.run_slpos_two_miner(n, reward, rng),
+                m if m >= 3 && n >= 1 => return self.run_slpos_race(n, reward, rng),
+                _ => {}
             }
         }
         for _ in 0..n {
             self.step(rng);
         }
+    }
+
+    /// The block reward, when the fused SL-PoS kernels may run this game:
+    /// the bare SL-PoS step law, no withholding, and every stake positive
+    /// (so every miner draws a ticket, and stays positive under
+    /// compounding).
+    fn fused_slpos_reward(&self) -> Option<f64> {
+        if self.withholding.is_some() {
+            return None;
+        }
+        let reward = self.protocol.slpos_core_reward()?;
+        self.ledger
+            .stakes()
+            .iter()
+            .all(|&s| s > 0.0)
+            .then_some(reward)
     }
 
     /// The fused two-miner SL-PoS stepping kernel.
@@ -247,38 +261,79 @@ impl<P: IncentiveProtocol> MiningGame<P> {
     /// adding `0.0` to the loser's positive earnings/stake is exact.
     /// Pinned by the `fused_kernel_matches_single_steps` test.
     fn run_slpos_two_miner(&mut self, n: u64, w: f64, rng: &mut Xoshiro256StarStar) {
-        let (mut s0, mut s1) = (self.ledger.stake(0), self.ledger.stake(1));
-        let (mut e0, mut e1) = (self.ledger.earned(0), self.ledger.earned(1));
-        // Prologue: this step's waiting times.
-        let mut ta = rng.next_f64() / s0;
-        let mut tb = rng.next_f64() / s1;
-        for _ in 0..n - 1 {
-            // Speculate the next step's quotients for both possible
-            // winners before resolving the current comparison.
-            let v0 = rng.next_f64();
-            let v1 = rng.next_f64();
-            let c0_keep = v0 / s0;
-            let c0_grow = v0 / (s0 + w);
-            let c1_keep = v1 / s1;
-            let c1_grow = v1 / (s1 + w);
+        self.ledger.fused_update(n as f64 * w, |stakes, earned| {
+            let (mut s0, mut s1) = (stakes[0], stakes[1]);
+            let (mut e0, mut e1) = (earned[0], earned[1]);
+            // Prologue: this step's waiting times.
+            let mut ta = rng.next_f64() / s0;
+            let mut tb = rng.next_f64() / s1;
+            for _ in 0..n - 1 {
+                // Speculate the next step's quotients for both possible
+                // winners before resolving the current comparison.
+                let v0 = rng.next_f64();
+                let v1 = rng.next_f64();
+                let c0_keep = v0 / s0;
+                let c0_grow = v0 / (s0 + w);
+                let c1_keep = v1 / s1;
+                let c1_grow = v1 / (s1 + w);
+                let win1 = tb < ta;
+                let (add0, add1) = if win1 { (0.0, w) } else { (w, 0.0) };
+                e0 += add0;
+                e1 += add1;
+                s0 += add0;
+                s1 += add1;
+                ta = if win1 { c0_keep } else { c0_grow };
+                tb = if win1 { c1_grow } else { c1_keep };
+            }
+            // Epilogue: resolve the last step.
             let win1 = tb < ta;
             let (add0, add1) = if win1 { (0.0, w) } else { (w, 0.0) };
-            e0 += add0;
-            e1 += add1;
-            s0 += add0;
-            s1 += add1;
-            ta = if win1 { c0_keep } else { c0_grow };
-            tb = if win1 { c1_grow } else { c1_keep };
-        }
-        // Epilogue: resolve the last step.
-        let win1 = tb < ta;
-        let (add0, add1) = if win1 { (0.0, w) } else { (w, 0.0) };
-        e0 += add0;
-        e1 += add1;
-        s0 += add0;
-        s1 += add1;
-        self.ledger
-            .write_two_miner([s0, s1], [e0, e1], n as f64 * w);
+            [stakes[0], stakes[1]] = [s0 + add0, s1 + add1];
+            [earned[0], earned[1]] = [e0 + add0, e1 + add1];
+        });
+        self.finish_fused(n);
+    }
+
+    /// The fused m-miner SL-PoS stepping kernel (m ≥ 3).
+    ///
+    /// Each step draws the m tickets in miner order, divides each by its
+    /// miner's stake, and takes the strict first-index argmin with
+    /// selects instead of branches, so an unpredictable winner costs no
+    /// mispredicted jump; then it compounds the winner in place. No
+    /// protocol dispatch, [`StepOutcome`] or per-step ledger bookkeeping.
+    ///
+    /// Bit-identical to repeated [`step`](Self::step): with every stake
+    /// positive the generic race draws the same m uniforms in the same
+    /// order, computes the same `fl(u / s)` quotients, and keeps the
+    /// earlier miner on ties (`t < best` strictly), and the winner's stake
+    /// and income grow by the same `+ w`. Pinned by the
+    /// `race_kernel_matches_single_steps` test. (Seeding miner 0 outside
+    /// the loop measured about a quarter slower at m = 3: LLVM then loads
+    /// the first two stakes as one 16-byte vector, which the previous
+    /// step's 8-byte stake store cannot forward to.)
+    fn run_slpos_race(&mut self, n: u64, w: f64, rng: &mut Xoshiro256StarStar) {
+        self.ledger.fused_update(n as f64 * w, |stakes, earned| {
+            for _ in 0..n {
+                // Seeding with +∞ under the strict `<` picks miner 0's
+                // quotient exactly as the generic race's unconditional
+                // seed does, and keeps all m draws in one loop body.
+                let mut best_t = f64::INFINITY;
+                let mut best_i = 0;
+                for (i, &s) in stakes.iter().enumerate() {
+                    let t = rng.next_f64() / s;
+                    let better = t < best_t;
+                    best_t = if better { t } else { best_t };
+                    best_i = if better { i } else { best_i };
+                }
+                stakes[best_i] += w;
+                earned[best_i] += w;
+            }
+        });
+        self.finish_fused(n);
+    }
+
+    /// Bookkeeping after a fused kernel has advanced `n` steps.
+    fn finish_fused(&mut self, n: u64) {
         self.steps += n;
         // Bulk stake change relative to anything a live sampler mirrors.
         self.outcome.invalidate_weights();
@@ -531,46 +586,100 @@ mod tests {
         // stepping one block at a time, for any segment length and
         // across segment boundaries.
         for n in [1u64, 2, 3, 7, 64, 1000] {
-            let mut fused = MiningGame::new(SlPos::new(0.01), &[0.2, 0.8]);
-            let mut fused_rng = Xoshiro256StarStar::new(97);
+            assert_run_matches_steps(
+                || MiningGame::new(SlPos::new(0.01), &[0.2, 0.8]),
+                &[n, n / 2 + 1],
+                "m=2",
+            );
+        }
+    }
+
+    /// Runs `segments` through [`MiningGame::run`] and the same total one
+    /// [`MiningGame::step`] at a time from the same seed, and asserts
+    /// bit-equal stakes and incomes and aligned RNG streams.
+    fn assert_run_matches_steps(
+        make: impl Fn() -> MiningGame<SlPos>,
+        segments: &[u64],
+        what: &str,
+    ) {
+        let mut fused = make();
+        let mut fused_rng = Xoshiro256StarStar::new(97);
+        for &n in segments {
             fused.run(n, &mut fused_rng);
-            fused.run(n / 2 + 1, &mut fused_rng); // second segment
+        }
+        let mut stepped = make();
+        let mut step_rng = Xoshiro256StarStar::new(97);
+        for _ in 0..segments.iter().sum::<u64>() {
+            stepped.step(&mut step_rng);
+        }
+        for i in 0..fused.miner_count() {
+            assert_eq!(
+                fused.stake(i).to_bits(),
+                stepped.stake(i).to_bits(),
+                "{what}: stake[{i}] diverged over segments {segments:?}"
+            );
+            assert_eq!(
+                fused.earned(i).to_bits(),
+                stepped.earned(i).to_bits(),
+                "{what}: earned[{i}] diverged over segments {segments:?}"
+            );
+        }
+        assert_eq!(fused.steps(), stepped.steps());
+        assert_eq!(fused_rng, step_rng, "{what}: RNG streams must stay aligned");
+    }
 
-            let mut stepped = MiningGame::new(SlPos::new(0.01), &[0.2, 0.8]);
-            let mut step_rng = Xoshiro256StarStar::new(97);
-            for _ in 0..n + n / 2 + 1 {
-                stepped.step(&mut step_rng);
-            }
-
-            for i in 0..2 {
-                assert_eq!(
-                    fused.stake(i).to_bits(),
-                    stepped.stake(i).to_bits(),
-                    "stake[{i}] diverged at n={n}"
-                );
-                assert_eq!(
-                    fused.earned(i).to_bits(),
-                    stepped.earned(i).to_bits(),
-                    "earned[{i}] diverged at n={n}"
+    #[test]
+    fn race_kernel_matches_single_steps() {
+        // The m-miner SL-PoS kernel must be bit-identical to stepping one
+        // block at a time, for any miner count, any segment length and
+        // across segment boundaries.
+        for m in [3usize, 4, 5, 10, 40] {
+            let shares = crate::miner::paper_multi_miner(m, 0.2);
+            for segments in [&[1u64][..], &[2, 1, 3], &[7, 64], &[1000, 1, 999]] {
+                assert_run_matches_steps(
+                    || MiningGame::new(SlPos::new(0.01), &shares),
+                    segments,
+                    &format!("m={m}"),
                 );
             }
-            assert_eq!(fused_rng, step_rng, "RNG streams must stay aligned");
         }
     }
 
     #[test]
     fn fused_kernel_not_used_with_withholding_or_zero_stakes() {
         // Withholding and zero-stake games must keep the generic path and
-        // stay correct (the fused gate rejects them).
-        let schedule = WithholdingSchedule::every(10);
-        let mut game = MiningGame::new(SlPos::new(0.01), &[0.2, 0.8]).with_withholding(schedule);
-        let mut rng = Xoshiro256StarStar::new(5);
-        game.run(9, &mut rng);
-        assert!((game.stake(0) - 0.2).abs() < 1e-12, "withholding pends");
-        let mut game = MiningGame::new(SlPos::new(0.01), &[0.0, 1.0]);
-        let mut rng = Xoshiro256StarStar::new(5);
-        game.run(50, &mut rng);
-        assert_eq!(game.earned(0), 0.0, "zero-stake miner never wins");
+        // stay correct (the fused gate rejects them): a kernel would
+        // compound at once, or draw a ticket for the zero-stake miner and
+        // shift the RNG stream, so bit-equality with single steps shows
+        // the generic path ran.
+        for shares in [vec![0.2, 0.8], vec![0.2, 0.3, 0.5], vec![0.1; 10]] {
+            let m = shares.len();
+            let schedule = WithholdingSchedule::every(10);
+            let mut game = MiningGame::new(SlPos::new(0.01), &shares).with_withholding(schedule);
+            let mut rng = Xoshiro256StarStar::new(5);
+            game.run(9, &mut rng);
+            assert!(
+                (game.stake(0) - shares[0]).abs() < 1e-12,
+                "withholding pends"
+            );
+            assert_run_matches_steps(
+                || MiningGame::new(SlPos::new(0.01), &shares).with_withholding(schedule),
+                &[9, 30, 1],
+                &format!("withholding, m={m}"),
+            );
+
+            let mut zero_first = shares.clone();
+            zero_first[0] = 0.0;
+            let mut game = MiningGame::new(SlPos::new(0.01), &zero_first);
+            let mut rng = Xoshiro256StarStar::new(5);
+            game.run(50, &mut rng);
+            assert_eq!(game.earned(0), 0.0, "zero-stake miner never wins");
+            assert_run_matches_steps(
+                || MiningGame::new(SlPos::new(0.01), &zero_first),
+                &[50, 2, 20],
+                &format!("zero stake, m={m}"),
+            );
+        }
     }
 
     #[test]

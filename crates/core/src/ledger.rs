@@ -169,19 +169,13 @@ impl StakeLedger {
         }
     }
 
-    /// Bulk two-miner state write for fused stepping kernels: installs the
-    /// register-carried stakes/income of miners 0 and 1 and accounts the
-    /// `issued` reward total in one shot.
-    ///
-    /// # Panics
-    /// Panics (debug) if the ledger does not hold exactly two miners.
+    /// Bulk state update for fused stepping kernels: hands `kernel` the
+    /// stake and income columns to update in place, then accounts the
+    /// `issued` reward total in one shot (the kernel owns the per-miner
+    /// arithmetic; the running totals only back the invariant checks).
     #[inline]
-    pub fn write_two_miner(&mut self, stakes: [f64; 2], earned: [f64; 2], issued: f64) {
-        debug_assert_eq!(self.stakes.len(), 2);
-        self.stakes[0] = stakes[0];
-        self.stakes[1] = stakes[1];
-        self.earned[0] = earned[0];
-        self.earned[1] = earned[1];
+    pub fn fused_update(&mut self, issued: f64, kernel: impl FnOnce(&mut [f64], &mut [f64])) {
+        kernel(&mut self.stakes, &mut self.earned);
         self.earned_total += issued;
         self.power_total += issued;
     }

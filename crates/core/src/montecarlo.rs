@@ -11,8 +11,8 @@ use crate::fairness::{unfair_probability, EpsilonDelta};
 use crate::game::MiningGame;
 use crate::protocol::IncentiveProtocol;
 use crate::withholding::WithholdingSchedule;
-use fairness_stats::mc::{run_monte_carlo, McConfig};
-use fairness_stats::summary::FiveNumber;
+use fairness_stats::mc::{run_monte_carlo, run_monte_carlo_until, McConfig};
+use fairness_stats::summary::{FiveNumber, MeanAboveHalf};
 
 /// Band statistics at one checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,12 +118,48 @@ pub fn run_ensemble<P>(protocol: &P, config: &EnsembleConfig) -> EnsembleSummary
 where
     P: IncentiveProtocol + Clone,
 {
+    let trajectories = run_trajectories(protocol, config, |_| false);
+    summarize(&protocol.label(), config, &trajectories)
+}
+
+/// [`run_ensemble`] stopped at the first repetition prefix that settles
+/// whether miner A's mean final `λ` exceeds 1/2 ([`MeanAboveHalf`]): the
+/// summary of repetitions `0..k`, with `repetitions = k`, for the smallest
+/// such `k` (all of them when the verdict needs every repetition).
+/// Repetition `i` is seeded exactly as in [`run_ensemble`], so the prefix
+/// is the full ensemble's, and the summary's `final_point().mean > 0.5`
+/// equals the full ensemble's verdict (see [`MeanAboveHalf`]).
+///
+/// # Panics
+/// Panics on invalid configuration, as [`run_ensemble`] does.
+#[must_use]
+pub fn run_ensemble_settled<P>(protocol: &P, config: &EnsembleConfig) -> EnsembleSummary
+where
+    P: IncentiveProtocol + Clone,
+{
+    let mut verdict = MeanAboveHalf::new(config.repetitions);
+    let trajectories = run_trajectories(protocol, config, |t: &Vec<f64>| {
+        verdict.push(*t.last().expect("a checkpoint per trajectory"))
+    });
+    summarize(&protocol.label(), config, &trajectories)
+}
+
+/// Miner A's λ-trajectory for repetitions `0, 1, …` until `settled` holds
+/// ([`run_monte_carlo_until`]).
+fn run_trajectories<P>(
+    protocol: &P,
+    config: &EnsembleConfig,
+    settled: impl FnMut(&Vec<f64>) -> bool + Send,
+) -> Vec<Vec<f64>>
+where
+    P: IncentiveProtocol + Clone,
+{
     assert!(config.repetitions > 0, "need at least one repetition");
     assert!(
         !config.checkpoints.is_empty(),
         "need at least one checkpoint"
     );
-    let trajectories = run_monte_carlo(
+    run_monte_carlo_until(
         McConfig::new(config.repetitions, config.seed),
         |_idx, rng| {
             let mut game = MiningGame::new(protocol.clone(), &config.initial_shares);
@@ -132,8 +168,8 @@ where
             }
             game.run_with_checkpoints(&config.checkpoints, rng).values
         },
-    );
-    summarize(&protocol.label(), config, &trajectories)
+        settled,
+    )
 }
 
 /// Runs the ensemble tracking **every** miner, returning one summary per

@@ -348,15 +348,18 @@ pub trait IncentiveProtocol: Send + Sync {
     /// the bare SL-PoS `U_i/s_i` waiting-time race (no adapters, no
     /// step-index dependence), returns its block reward.
     ///
-    /// This is a performance hook, not a semantic one: two-miner SL-PoS
-    /// sweeps dominate the reproduction's wall-clock, and their per-step
-    /// cost is latency-bound on the division-feedback chain (the winner's
-    /// compounded stake is the next step's divisor). Knowing the step
-    /// law, [`crate::game::MiningGame::run`] software-pipelines that
-    /// chain with speculative candidate quotients — bit-identical
-    /// outcomes, roughly half the per-step latency. `None` (the default)
-    /// keeps the generic stepping path; **adapters must not forward
-    /// this** (their step law differs from the inner protocol's).
+    /// This is a performance hook, not a semantic one: SL-PoS sweeps
+    /// (Figure 4, Table 1's SL-PoS cells and its monopolization bisection)
+    /// dominate the reproduction's wall-clock. Knowing the step law,
+    /// [`crate::game::MiningGame::run`] steps any miner count with every
+    /// stake positive through a fused kernel over the ledger's columns:
+    /// at two miners it software-pipelines the division-feedback chain
+    /// (the winner's compounded stake is the next step's divisor) with
+    /// speculative candidate quotients, and at three or more it runs the
+    /// race as one branch-free loop with no protocol dispatch. Outcomes
+    /// are bit-identical to [`step_into`](Self::step_into). `None` (the
+    /// default) keeps the generic stepping path; **adapters must not
+    /// forward this** (their step law differs from the inner protocol's).
     fn slpos_core_reward(&self) -> Option<f64> {
         None
     }

@@ -121,24 +121,37 @@ fn steady_state_stepping_never_allocates() {
         check!("eos", Eos::new(0.01, 0.1));
     }
 
-    // The software-pipelined two-miner SL-PoS kernel (taken by `run`, not
-    // `step`) must be allocation-free too. Same test fn as above: a
-    // second #[test] would run on a parallel thread whose setup
-    // allocations race the armed counter. Same retry rationale as
+    // The fused SL-PoS kernels (taken by `run`, not `step`) must be
+    // allocation-free too: the software-pipelined two-miner kernel and the
+    // m-miner race at 3 and 10 miners. Same test fn as above: a second
+    // #[test] would run on a parallel thread whose setup allocations race
+    // the armed counter. Same retry rationale as
     // `assert_steady_state_clean`.
-    let mut game = MiningGame::new(SlPos::new(0.01), &[0.2, 0.8]);
-    let mut rng = Xoshiro256StarStar::new(9);
-    game.run(16, &mut rng);
-    let mut last = 0;
-    for _attempt in 0..3 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        COUNTING.store(true, Ordering::Relaxed);
-        game.run(4096, &mut rng);
-        COUNTING.store(false, Ordering::Relaxed);
-        last = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        if last == 0 {
-            return;
+    for shares in [
+        vec![0.2, 0.8],
+        paper_multi_miner(3, 0.2),
+        paper_multi_miner(10, 0.2),
+    ] {
+        let mut game = MiningGame::new(SlPos::new(0.01), &shares);
+        let mut rng = Xoshiro256StarStar::new(9);
+        game.run(16, &mut rng);
+        let mut last = 0;
+        for _attempt in 0..3 {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            COUNTING.store(true, Ordering::Relaxed);
+            game.run(4096, &mut rng);
+            COUNTING.store(false, Ordering::Relaxed);
+            last = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            if last == 0 {
+                break;
+            }
         }
+        assert_eq!(
+            last,
+            0,
+            "fused SL-PoS kernel with {} miners allocated {last} times in three \
+             consecutive windows",
+            shares.len()
+        );
     }
-    panic!("fused SL-PoS kernel allocated {last} times in three consecutive windows");
 }

@@ -59,4 +59,4 @@ pub use rng::{SeedSequence, SplitMix64, Xoshiro256StarStar};
 pub use sa::{classify_zero, find_zeros, Stability};
 pub use sampling::FenwickSampler;
 pub use special::{erf, erfc, ln_gamma, reg_inc_beta, reg_lower_gamma};
-pub use summary::{quantile, FiveNumber, Welford};
+pub use summary::{quantile, FiveNumber, MeanAboveHalf, Welford};

@@ -7,7 +7,8 @@
 //! scheduling, and results are returned in repetition order.
 
 use crate::rng::{SeedSequence, Xoshiro256StarStar};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Process-wide default worker budget for [`run_monte_carlo`]; `0` means
 /// "one thread per available core".
@@ -77,11 +78,8 @@ impl McConfig {
 /// Runs `f(rep_index, rng)` for every repetition, in parallel, returning the
 /// results in repetition order.
 ///
-/// Repetitions are distributed over workers by an atomic-index
-/// *work-stealing* loop: each worker repeatedly claims the next unclaimed
-/// batch of indices, so uneven per-repetition costs (e.g. Table 1's mixed
-/// horizons) no longer leave workers idle the way static chunking did.
-/// Determinism is unaffected — the seed of repetition `i` depends only on
+/// The never-stopping case of [`run_monte_carlo_until`]: determinism is
+/// unaffected by scheduling — the seed of repetition `i` depends only on
 /// the master seed and `i`, and results are reassembled in repetition
 /// order, so output is bit-identical for every thread count.
 ///
@@ -92,57 +90,106 @@ where
     T: Send,
     F: Fn(usize, &mut Xoshiro256StarStar) -> T + Sync,
 {
+    run_monte_carlo_until(config, f, |_| false)
+}
+
+/// The results finished so far, and how far `settled` has read them.
+struct Prefix<T, S> {
+    /// Finished results by repetition index.
+    slots: Vec<Option<T>>,
+    /// Length of the contiguous prefix already fed to `settled`.
+    fed: usize,
+    /// Set once `settled` held: `fed` is final.
+    done: bool,
+    settled: S,
+}
+
+/// Runs `f(rep_index, rng)` for repetitions `0, 1, 2, …` until `settled`
+/// holds, returning the results of the settled prefix in repetition
+/// order.
+///
+/// `settled` sees every result exactly once, in repetition order,
+/// whatever order the workers finish in: it reads the contiguous prefix
+/// `0..k` as it grows. Once it returns `true` for repetition `k − 1`, no
+/// further repetition starts and the first `k` results are returned;
+/// when it never does, all `config.repetitions` are. Workers may have
+/// computed repetitions past `k` by then, but those are discarded, so
+/// the returned prefix — its length included — is the same at every
+/// thread count.
+///
+/// Repetitions are distributed over workers by an atomic-index
+/// *work-stealing* loop: each worker repeatedly claims the next unclaimed
+/// batch of indices, so uneven per-repetition costs (e.g. Table 1's mixed
+/// horizons) leave no worker idle, and checks before each repetition
+/// whether the prefix has settled.
+pub fn run_monte_carlo_until<T, F, S>(config: McConfig, f: F, settled: S) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &mut Xoshiro256StarStar) -> T + Sync,
+    S: FnMut(&T) -> bool + Send,
+{
     let reps = config.repetitions;
     if reps == 0 {
         return Vec::new();
     }
     let seq = SeedSequence::new(config.seed);
     let threads = config.effective_threads().clamp(1, reps);
-
-    if threads == 1 {
-        return (0..reps)
-            .map(|i| {
-                let mut rng = seq.child_rng(i as u64);
-                f(i, &mut rng)
-            })
-            .collect();
-    }
-
     // Small batches amortize the atomic increment without recreating static
     // chunking's tail imbalance.
     let batch = (reps / (threads * 8)).clamp(1, 64);
     let next = AtomicUsize::new(0);
-    let worker = |out: &mut Vec<(usize, T)>| loop {
+    // Only saves work: what is returned is decided under the lock.
+    let stop = AtomicBool::new(false);
+    let prefix = Mutex::new(Prefix {
+        slots: std::iter::repeat_with(|| None).take(reps).collect(),
+        fed: 0,
+        done: false,
+        settled,
+    });
+    let worker = || loop {
         let start = next.fetch_add(batch, Ordering::Relaxed);
         if start >= reps {
-            break;
+            return;
         }
         for idx in start..(start + batch).min(reps) {
+            if stop.load(Ordering::Relaxed) {
+                return;
+            }
             let mut rng = seq.child_rng(idx as u64);
-            out.push((idx, f(idx, &mut rng)));
+            let value = f(idx, &mut rng);
+            let mut guard = prefix.lock().expect("Monte-Carlo prefix lock");
+            let Prefix {
+                slots,
+                fed,
+                done,
+                settled,
+            } = &mut *guard;
+            slots[idx] = Some(value);
+            while !*done && *fed < reps {
+                let Some(value) = &slots[*fed] else { break };
+                *done = settled(value);
+                *fed += 1;
+            }
+            if *done {
+                stop.store(true, Ordering::Relaxed);
+            }
         }
     };
 
-    let mut collected: Vec<(usize, T)> = Vec::with_capacity(reps);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    worker(&mut out);
-                    out
-                })
-            })
-            .collect();
-        worker(&mut collected);
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        worker();
         for h in handles {
-            collected.extend(h.join().expect("Monte-Carlo worker panicked"));
+            h.join().expect("Monte-Carlo worker panicked");
         }
     });
 
-    collected.sort_unstable_by_key(|(idx, _)| *idx);
-    debug_assert_eq!(collected.len(), reps);
-    collected.into_iter().map(|(_, v)| v).collect()
+    let Prefix { slots, fed, .. } = prefix.into_inner().expect("Monte-Carlo prefix lock");
+    slots
+        .into_iter()
+        .take(fed)
+        .map(|v| v.expect("every repetition of the settled prefix ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -226,6 +273,64 @@ mod tests {
         set_global_threads(0);
         assert_eq!(auto, serial);
         assert_eq!(auto, three);
+    }
+
+    #[test]
+    fn until_returns_the_first_settled_prefix_at_any_thread_count() {
+        // Settles at the first index whose draw exceeds 0.9: the prefix
+        // length and contents are a function of the seed only.
+        let run = |threads: usize| {
+            let mut seen = Vec::new();
+            let out = run_monte_carlo_until(
+                McConfig::new(200, 17).with_threads(threads),
+                |i, rng| (i, rng.next_f64()),
+                |&(i, x)| {
+                    seen.push(i);
+                    x > 0.9
+                },
+            );
+            (out, seen)
+        };
+        let (serial, seen) = run(1);
+        let k = serial.len();
+        assert!(k > 1 && k < 200, "settles part-way: {k}");
+        assert!(serial[k - 1].1 > 0.9 && serial[..k - 1].iter().all(|r| r.1 <= 0.9));
+        assert_eq!(seen, (0..k).collect::<Vec<_>>(), "fed in index order");
+        let full = run_monte_carlo(McConfig::new(200, 17), |i, rng| (i, rng.next_f64()));
+        assert_eq!(serial, full[..k], "the prefix is the full run's");
+        for threads in [2, 3, 8] {
+            let (parallel, seen) = run(threads);
+            assert_eq!(parallel, serial, "threads = {threads}");
+            assert_eq!(seen, (0..k).collect::<Vec<_>>(), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn until_that_never_settles_runs_every_repetition() {
+        for threads in [1, 4] {
+            let out = run_monte_carlo_until(
+                McConfig::new(50, 3).with_threads(threads),
+                |i, _| i,
+                |_| false,
+            );
+            assert_eq!(out, (0..50).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn until_stops_starting_repetitions_once_settled() {
+        // Serially nothing past the settle point runs at all.
+        let started = AtomicUsize::new(0);
+        let out = run_monte_carlo_until(
+            McConfig::new(100, 1).with_threads(1),
+            |i, _| {
+                started.fetch_add(1, Ordering::Relaxed);
+                i
+            },
+            |&i| i == 4,
+        );
+        assert_eq!(out, vec![0, 1, 2, 3, 4]);
+        assert_eq!(started.load(Ordering::Relaxed), 5);
     }
 
     #[test]
