@@ -1,5 +1,6 @@
 //! Criterion benchmarks: the simulation hot paths this workspace's
 //! wall-clock lives in — per-step game stepping for every base protocol,
+//! bare SL-PoS repetitions stepped eight at a time in vector lanes,
 //! weighted sampling (Fenwick vs linear scan), sha256 nonce grinding
 //! (full rebuild, midstate, and midstate pairs), and the hash-level
 //! overlay's blocks.
@@ -12,7 +13,7 @@ use chain_sim::{
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairness_bench::experiments::common::{A_DEFAULT, W_DEFAULT};
-use fairness_core::game::MiningGame;
+use fairness_core::game::{MiningGame, LANES};
 use fairness_core::miner::{paper_multi_miner, sample_categorical, two_miner};
 use fairness_core::prelude::*;
 use fairness_core::registry::{construct, BoxedProtocol};
@@ -64,6 +65,27 @@ fn bench_steps(c: &mut Criterion) {
     let boxed: BoxedProtocol =
         construct(&ProtocolSpec::new("sl-pos").with("w", 0.01), &two).expect("constructs");
     bench_game(c, "sl-pos-boxed", boxed, &two);
+}
+
+/// Steps [`LANES`] bare SL-PoS games 64 steps each per bench iteration
+/// through `MiningGame::run_batch` (the lane kernel on AVX-512F+DQ hosts,
+/// per-game runs elsewhere): divide by 8 × 64 for nanoseconds per step
+/// per repetition, beside `step/sl-pos/*`'s per 64 steps.
+fn bench_lanes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lanes");
+    for m in [2, 3, 10] {
+        let shares = paper_multi_miner(m, A_DEFAULT);
+        let mut games = vec![MiningGame::new(SlPos::new(W_DEFAULT), &shares); LANES];
+        let mut rngs: Vec<_> = (0..LANES as u64).map(Xoshiro256StarStar::new).collect();
+        MiningGame::run_batch(&mut games, 64, &mut rngs);
+        group.bench_function(BenchmarkId::new("sl-pos", m), |b| {
+            b.iter(|| {
+                MiningGame::run_batch(&mut games, 64, &mut rngs);
+                black_box(games[0].steps())
+            });
+        });
+    }
+    group.finish();
 }
 
 fn bench_layers(c: &mut Criterion) {
@@ -218,6 +240,7 @@ fn full_trial(prev: &Hash256, pubkey: &Hash256, nonce: u64) -> Hash256 {
 criterion_group!(
     benches,
     bench_steps,
+    bench_lanes,
     bench_layers,
     bench_sampling,
     bench_grind,

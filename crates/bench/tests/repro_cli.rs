@@ -104,3 +104,30 @@ fn overflowing_system_issuance_exits_1_with_the_message() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A cross-check longer than the horizon cap exits 1 with the message
+/// before any simulation runs, instead of holding the process for as long
+/// as the horizon asks.
+#[test]
+fn oversized_system_horizon_exits_1_with_the_message() {
+    let dir = std::env::temp_dir().join("fairness-bench-repro-long-horizon");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = run_scenario(
+        &dir,
+        "long.scn",
+        "scenario \"long\" {\n\
+         \x20 protocol = sl-pos(w = 0.01)\n\
+         \x20 shares = [0.2, 0.8]\n\
+         \x20 checkpoints = linear(100, 5)\n\
+         \x20 system = sl-pos(horizon = 1000000000, salt = 1)\n\
+         }\n",
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("system horizon 1000000000 exceeds the cap of 100000 blocks"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -19,6 +19,10 @@ use crate::trajectory::Trajectory;
 use crate::withholding::WithholdingSchedule;
 use fairness_stats::rng::Xoshiro256StarStar;
 
+mod lanes;
+
+pub use lanes::LANES;
+
 /// A running mining game.
 #[derive(Debug, Clone)]
 pub struct MiningGame<P: IncentiveProtocol> {
@@ -332,6 +336,111 @@ impl<P: IncentiveProtocol> MiningGame<P> {
         self.finish_fused(n);
     }
 
+    /// How many games like this one [`run_batch`](Self::run_batch) steps
+    /// at once: [`LANES`] when it would step them in the lane kernel
+    /// (see there), 1 otherwise. A Monte-Carlo runner sizes its chunks of
+    /// repetitions by this.
+    #[must_use]
+    pub fn batch_width(&self) -> usize {
+        if self.lane_reward().is_some() && lanes::available() {
+            LANES
+        } else {
+            1
+        }
+    }
+
+    /// Runs every game `n` steps, game `k` drawing from `rngs[k]`: bit for
+    /// bit what `games[k].run(n, &mut rngs[k])` does for each `k`. Returns
+    /// how many of the games the lane kernel stepped.
+    ///
+    /// On an AVX-512F+DQ host, games the fused SL-PoS kernels may run
+    /// (bare SL-PoS, no withholding, every stake positive) with 2 to 64
+    /// miners step [`LANES`] at a time in lockstep, one game per vector
+    /// lane, when they all share one miner count and one step count. Each
+    /// lane keeps its own generator and does the scalar race's exact
+    /// arithmetic, so stakes, incomes, step counts and generators end
+    /// bit-identical to per-game `run`. A group of fewer than three games
+    /// (the tail of a batch) runs per game: one game always steps faster
+    /// alone than a full vector does, and two about as fast or faster
+    /// (measured at m = 2 to 40). Other batches, and every batch on
+    /// another host, run per game too.
+    ///
+    /// # Panics
+    /// Panics if `games` and `rngs` differ in length.
+    pub fn run_batch(games: &mut [Self], n: u64, rngs: &mut [Xoshiro256StarStar]) -> usize {
+        assert_eq!(games.len(), rngs.len(), "one generator per game");
+        let fit = n > 0 && lanes::available() && Self::lanes_fit(games);
+        let mut in_lanes = 0;
+        for (games, rngs) in games.chunks_mut(LANES).zip(rngs.chunks_mut(LANES)) {
+            if fit && games.len() >= 3 {
+                Self::run_lanes(games, n, rngs);
+                in_lanes += games.len();
+            } else {
+                for (game, rng) in games.iter_mut().zip(rngs) {
+                    game.run(n, rng);
+                }
+            }
+        }
+        in_lanes
+    }
+
+    /// The block reward, when the lane kernel may step this game: the
+    /// fused kernels may, and it has 2 to 64 miners.
+    fn lane_reward(&self) -> Option<f64> {
+        if (2..=lanes::MAX_MINERS).contains(&self.ledger.len()) {
+            self.fused_slpos_reward()
+        } else {
+            None
+        }
+    }
+
+    /// Whether a non-empty batch may step in lanes: every game may, and
+    /// all share the first one's miner count and step count.
+    fn lanes_fit(games: &[Self]) -> bool {
+        let Some(first) = games.first() else {
+            return false;
+        };
+        games.iter().all(|g| {
+            g.lane_reward().is_some()
+                && g.ledger.len() == first.ledger.len()
+                && g.steps == first.steps
+        })
+    }
+
+    /// The lane kernel over up to [`LANES`] games that [`lanes_fit`](Self::lanes_fit):
+    /// loads each game's generator, stakes and incomes into its lane,
+    /// steps all lanes `n` times, and stores them back, accounting the
+    /// issued rewards as the fused kernels do.
+    fn run_lanes(games: &mut [Self], n: u64, rngs: &mut [Xoshiro256StarStar]) {
+        debug_assert!(!games.is_empty() && games.len() <= LANES);
+        let mut batch = lanes::Batch::new(games[0].ledger.len());
+        for lane in 0..LANES {
+            // Lanes past the games step copies of game 0, never stored.
+            let k = if lane < games.len() { lane } else { 0 };
+            let game = &games[k];
+            for (word, w) in batch.rng.iter_mut().zip(rngs[k].state()) {
+                word[lane] = w;
+            }
+            batch.reward[lane] = game.lane_reward().expect("checked by lanes_fit");
+            for (i, (&s, &e)) in game.stakes().iter().zip(game.earned_column()).enumerate() {
+                batch.stakes[i][lane] = s;
+                batch.earned[i][lane] = e;
+            }
+        }
+        batch.run(n);
+        for (lane, (game, rng)) in games.iter_mut().zip(rngs).enumerate() {
+            *rng = Xoshiro256StarStar::from_state(batch.rng.map(|word| word[lane]));
+            let issued = n as f64 * batch.reward[lane];
+            game.ledger.fused_update(issued, |stakes, earned| {
+                for (i, (s, e)) in stakes.iter_mut().zip(earned).enumerate() {
+                    *s = batch.stakes[i][lane];
+                    *e = batch.earned[i][lane];
+                }
+            });
+            game.finish_fused(n);
+        }
+    }
+
     /// Bookkeeping after a fused kernel has advanced `n` steps.
     fn finish_fused(&mut self, n: u64) {
         self.steps += n;
@@ -612,19 +721,7 @@ mod tests {
         for _ in 0..segments.iter().sum::<u64>() {
             stepped.step(&mut step_rng);
         }
-        for i in 0..fused.miner_count() {
-            assert_eq!(
-                fused.stake(i).to_bits(),
-                stepped.stake(i).to_bits(),
-                "{what}: stake[{i}] diverged over segments {segments:?}"
-            );
-            assert_eq!(
-                fused.earned(i).to_bits(),
-                stepped.earned(i).to_bits(),
-                "{what}: earned[{i}] diverged over segments {segments:?}"
-            );
-        }
-        assert_eq!(fused.steps(), stepped.steps());
+        assert_same_state(&fused, &stepped, &format!("{what}, segments {segments:?}"));
         assert_eq!(fused_rng, step_rng, "{what}: RNG streams must stay aligned");
     }
 
@@ -680,6 +777,140 @@ mod tests {
                 &format!("zero stake, m={m}"),
             );
         }
+    }
+
+    /// Asserts bit-equal stakes and incomes and equal step counts.
+    fn assert_same_state<P: IncentiveProtocol>(a: &MiningGame<P>, b: &MiningGame<P>, what: &str) {
+        assert_eq!(a.miner_count(), b.miner_count(), "{what}: miner count");
+        for i in 0..a.miner_count() {
+            assert_eq!(
+                a.stake(i).to_bits(),
+                b.stake(i).to_bits(),
+                "{what}: stake[{i}] diverged"
+            );
+            assert_eq!(
+                a.earned(i).to_bits(),
+                b.earned(i).to_bits(),
+                "{what}: earned[{i}] diverged"
+            );
+        }
+        assert_eq!(a.steps(), b.steps(), "{what}: step count");
+    }
+
+    /// Runs `segments` through [`MiningGame::run_batch`] over `games`,
+    /// game `k` on seed `97 + k`, and each game through its own `run`
+    /// from the same seed; asserts the same state and generator per game
+    /// and returns how many games the lane kernel stepped per segment
+    /// (the same count for every segment).
+    fn assert_batch_matches_runs<P: IncentiveProtocol + Clone>(
+        games: &[MiningGame<P>],
+        segments: &[u64],
+        what: &str,
+    ) -> usize {
+        let mut batch = games.to_vec();
+        let mut rngs: Vec<_> = (0..games.len())
+            .map(|k| Xoshiro256StarStar::new(97 + k as u64))
+            .collect();
+        let counts: Vec<usize> = segments
+            .iter()
+            .map(|&n| MiningGame::run_batch(&mut batch, n, &mut rngs))
+            .collect();
+        let in_lanes = counts[0];
+        assert!(counts.iter().all(|&c| c == in_lanes), "{what}: {counts:?}");
+        for (k, (game, rng)) in batch.iter().zip(&rngs).enumerate() {
+            let mut single = games[k].clone();
+            let mut single_rng = Xoshiro256StarStar::new(97 + k as u64);
+            for &n in segments {
+                single.run(n, &mut single_rng);
+            }
+            let what = format!("{what}, game {k}, segments {segments:?}");
+            assert_same_state(game, &single, &what);
+            assert_eq!(rng, &single_rng, "{what}: generator diverged");
+        }
+        in_lanes
+    }
+
+    #[test]
+    fn lane_kernel_matches_per_game_runs() {
+        // Every batch size from one game to a full vector, across the
+        // segment lists of `race_kernel_matches_single_steps`: each lane
+        // must end where its game's own `run` does.
+        let available = lanes::available();
+        for m in [2usize, 3, 5, 10, 40] {
+            let shares = crate::miner::paper_multi_miner(m, 0.2);
+            for count in 1..=LANES {
+                let games = vec![MiningGame::new(SlPos::new(0.01), &shares); count];
+                assert_eq!(games[0].batch_width(), if available { LANES } else { 1 });
+                for segments in [&[1u64][..], &[2, 1, 3], &[7, 64], &[1000, 1, 999]] {
+                    let in_lanes = assert_batch_matches_runs(
+                        &games,
+                        segments,
+                        &format!("m={m}, {count} games"),
+                    );
+                    let want = if available && count >= 3 { count } else { 0 };
+                    assert_eq!(in_lanes, want, "m={m}, {count} games");
+                }
+            }
+        }
+        let path = if available {
+            "the lane kernel from three games up, per-game runs below"
+        } else {
+            "per-game runs (no AVX-512F+DQ on this host)"
+        };
+        println!("eligible SL-PoS batches stepped through {path}");
+    }
+
+    #[test]
+    fn lane_batches_wider_than_a_vector_step_in_chunks() {
+        let available = lanes::available();
+        let shares = [0.2, 0.3, 0.5];
+        // 19 = 8 + 8 + 3 games all step in lanes; 17 = 8 + 8 + 1 leaves
+        // the last game to its own `run`.
+        for (count, want) in [(19, 19), (17, 16)] {
+            let games = vec![MiningGame::new(SlPos::new(0.01), &shares); count];
+            let in_lanes = assert_batch_matches_runs(&games, &[5, 40], &format!("{count} games"));
+            assert_eq!(in_lanes, if available { want } else { 0 });
+        }
+    }
+
+    #[test]
+    fn ineligible_batches_take_the_per_game_path() {
+        let sl = |shares: &[f64]| MiningGame::new(SlPos::new(0.01), shares);
+        let five = crate::miner::paper_multi_miner(5, 0.2);
+        let mut zero_first = five.clone();
+        zero_first[0] = 0.0;
+        let mut behind = sl(&five);
+        behind.run(3, &mut Xoshiro256StarStar::new(1));
+        let cases = [
+            (
+                "withholding",
+                vec![sl(&five).with_withholding(WithholdingSchedule::every(10)); 4],
+            ),
+            ("a zero stake", vec![sl(&five), sl(&zero_first), sl(&five)]),
+            ("m = 65", vec![sl(&crate::miner::equal_shares(65)); 8]),
+            (
+                "mixed miner counts",
+                vec![sl(&five), sl(&five), sl(&five), sl(&[0.2, 0.3, 0.5])],
+            ),
+            (
+                "mixed step counts",
+                vec![sl(&five), sl(&five), sl(&five), behind],
+            ),
+        ];
+        for (what, games) in &cases {
+            let in_lanes = assert_batch_matches_runs(games, &[7, 64], what);
+            assert_eq!(in_lanes, 0, "{what}: took the lane kernel");
+            println!("{what}: per-game runs");
+        }
+        assert_eq!(cases[0].1[0].batch_width(), 1);
+        assert_eq!(cases[2].1[0].batch_width(), 1);
+        // Other protocols never take it.
+        let mlpos = vec![MiningGame::new(MlPos::new(0.01), &five); 8];
+        assert_eq!(assert_batch_matches_runs(&mlpos, &[7, 64], "ml-pos"), 0);
+        // Nor does a zero-step segment.
+        let mut games = vec![sl(&five); 8];
+        let mut rngs = vec![Xoshiro256StarStar::new(3); 8];
+        assert_eq!(MiningGame::run_batch(&mut games, 0, &mut rngs), 0);
     }
 
     #[test]

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// The SL-PoS lane kernel (`game::lanes`) is the one module allowed `unsafe`.
+#![deny(unsafe_code)]
 
 //! # fairness-core
 //!

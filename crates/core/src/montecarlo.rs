@@ -11,7 +11,7 @@ use crate::fairness::{unfair_probability, EpsilonDelta};
 use crate::game::MiningGame;
 use crate::protocol::IncentiveProtocol;
 use crate::withholding::WithholdingSchedule;
-use fairness_stats::mc::{run_monte_carlo, run_monte_carlo_until, McConfig};
+use fairness_stats::mc::{run_monte_carlo, run_monte_carlo_chunks, McConfig};
 use fairness_stats::summary::{FiveNumber, MeanAboveHalf};
 
 /// Band statistics at one checkpoint.
@@ -145,7 +145,16 @@ where
 }
 
 /// Miner A's λ-trajectory for repetitions `0, 1, …` until `settled` holds
-/// ([`run_monte_carlo_until`]).
+/// ([`run_monte_carlo_chunks`]).
+///
+/// Repetitions run in chunks of the game's
+/// [`batch_width`](MiningGame::batch_width), each chunk's games advancing
+/// together from checkpoint to checkpoint through
+/// [`MiningGame::run_batch`]: bare SL-PoS ensembles step eight
+/// repetitions at a time in the lane kernel where the host has one, and
+/// everything else one repetition per chunk. Each repetition draws from
+/// its own stream and the lane kernel is bit-identical to stepping alone,
+/// so the trajectories do not depend on the chunking.
 fn run_trajectories<P>(
     protocol: &P,
     config: &EnsembleConfig,
@@ -159,14 +168,32 @@ where
         !config.checkpoints.is_empty(),
         "need at least one checkpoint"
     );
-    run_monte_carlo_until(
+    assert!(
+        config.checkpoints.windows(2).all(|w| w[0] < w[1]),
+        "checkpoints must be strictly ascending"
+    );
+    let new_game = || {
+        let game = MiningGame::new(protocol.clone(), &config.initial_shares);
+        match config.withholding {
+            Some(schedule) => game.with_withholding(schedule),
+            None => game,
+        }
+    };
+    run_monte_carlo_chunks(
         McConfig::new(config.repetitions, config.seed),
-        |_idx, rng| {
-            let mut game = MiningGame::new(protocol.clone(), &config.initial_shares);
-            if let Some(schedule) = config.withholding {
-                game = game.with_withholding(schedule);
+        new_game().batch_width(),
+        |_first, rngs| {
+            let mut games: Vec<_> = rngs.iter().map(|_| new_game()).collect();
+            let mut values = vec![Vec::with_capacity(config.checkpoints.len()); games.len()];
+            let mut steps = 0;
+            for &cp in &config.checkpoints {
+                MiningGame::run_batch(&mut games, cp - steps, rngs);
+                steps = cp;
+                for (trajectory, game) in values.iter_mut().zip(&games) {
+                    trajectory.push(game.lambda(0));
+                }
             }
-            game.run_with_checkpoints(&config.checkpoints, rng).values
+            values
         },
         settled,
     )

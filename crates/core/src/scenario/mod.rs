@@ -217,6 +217,11 @@ pub enum ValidationError {
     ZeroWithholding,
     /// A hash-level cross-check with a zero-block horizon.
     ZeroSystemHorizon,
+    /// A hash-level cross-check longer than [`MAX_SYSTEM_HORIZON`] blocks.
+    SystemHorizonTooLarge {
+        /// The requested horizon.
+        horizon: u64,
+    },
     /// A hash-level cross-check on a population that is not two miners.
     SystemNeedsTwoMiners,
     /// A hash-level cross-check where one of the two miners holds no
@@ -246,6 +251,7 @@ impl ValidationError {
             ValidationError::ZeroRepetitions => "zero-repetitions",
             ValidationError::ZeroWithholding => "zero-withholding",
             ValidationError::ZeroSystemHorizon => "zero-system-horizon",
+            ValidationError::SystemHorizonTooLarge { .. } => "system-horizon-too-large",
             ValidationError::SystemNeedsTwoMiners => "system-needs-two-miners",
             ValidationError::SystemNeedsPositiveShares => "system-needs-positive-shares",
         }
@@ -285,6 +291,10 @@ impl fmt::Display for ValidationError {
             ValidationError::ZeroRepetitions => write!(f, "repetitions must be positive"),
             ValidationError::ZeroWithholding => write!(f, "withholding period must be positive"),
             ValidationError::ZeroSystemHorizon => write!(f, "system horizon must be positive"),
+            ValidationError::SystemHorizonTooLarge { horizon } => write!(
+                f,
+                "system horizon {horizon} exceeds the cap of {MAX_SYSTEM_HORIZON} blocks"
+            ),
             ValidationError::SystemNeedsTwoMiners => {
                 write!(f, "system cross-checks support exactly two miners")
             }
@@ -439,6 +449,16 @@ impl fmt::Display for Checkpoints {
     }
 }
 
+/// The longest hash-level cross-check a scenario may ask for, in blocks.
+///
+/// A cross-check runs to completion once started (a job's cancellation is
+/// observed between scenarios), so without a cap one scenario could hold
+/// an executor for as long as its horizon asks. 10⁵ blocks is about 70×
+/// the figures' 1,500; one repetition at the cap took 1.3 s (SL-PoS) to
+/// 1.8 s (PoW) on a 2-vCPU container, about a minute at `--quick`'s 40
+/// repetitions on one worker.
+pub const MAX_SYSTEM_HORIZON: u64 = 100_000;
+
 /// An optional hash-level (`chain-sim`) cross-check attached to a
 /// scenario: a two-miner network of the named engine is run alongside the
 /// closed-form ensemble (at the harness's `--system-reps` scale) and
@@ -559,6 +579,11 @@ impl ScenarioSpec {
         if let Some(system) = &self.system {
             if system.horizon == 0 {
                 return Err(ValidationError::ZeroSystemHorizon);
+            }
+            if system.horizon > MAX_SYSTEM_HORIZON {
+                return Err(ValidationError::SystemHorizonTooLarge {
+                    horizon: system.horizon,
+                });
             }
             if self.shares.miner_count() != 2 {
                 return Err(ValidationError::SystemNeedsTwoMiners);
@@ -968,6 +993,28 @@ mod tests {
                 }),
             ),
             (
+                "system-horizon-too-large",
+                Box::new(|s| {
+                    s.shares = SharesSpec::Explicit(vec![0.2, 0.8]);
+                    s.system = Some(SystemSpec {
+                        engine: "sl-pos".into(),
+                        horizon: 1_000_000_000,
+                        salt: 1,
+                    });
+                }),
+            ),
+            (
+                "system-horizon-too-large",
+                Box::new(|s| {
+                    s.shares = SharesSpec::Explicit(vec![0.2, 0.8]);
+                    s.system = Some(SystemSpec {
+                        engine: "pow".into(),
+                        horizon: MAX_SYSTEM_HORIZON + 1,
+                        salt: 1,
+                    });
+                }),
+            ),
+            (
                 "system-needs-positive-shares",
                 Box::new(|s| {
                     s.shares = SharesSpec::Explicit(vec![0.0, 1.0]);
@@ -1024,6 +1071,15 @@ mod tests {
             salt: 7,
         });
         assert!(tiny.validate().is_ok());
+        // The cap itself is allowed.
+        let mut longest = sample();
+        longest.shares = SharesSpec::Explicit(vec![0.2, 0.8]);
+        longest.system = Some(SystemSpec {
+            engine: "pow".into(),
+            horizon: MAX_SYSTEM_HORIZON,
+            salt: 1,
+        });
+        assert!(longest.validate().is_ok());
     }
 
     #[test]

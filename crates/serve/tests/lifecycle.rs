@@ -452,6 +452,33 @@ fn zero_share_system_is_refused_and_the_daemon_drains() {
     );
 }
 
+/// A cross-check longer than the horizon cap is refused with its typed
+/// code before any job is queued, where it used to hold the executor for
+/// as long as it asked; the daemon keeps serving and drains.
+#[test]
+fn oversized_system_horizon_is_refused_and_the_daemon_drains() {
+    let batch = |horizon: u64| {
+        format!(
+            "scenario \"long\" {{\n\
+             \x20 protocol = sl-pos(w = 0.01)\n\
+             \x20 shares = [0.2, 0.8]\n\
+             \x20 checkpoints = linear(100, 5)\n\
+             \x20 system = sl-pos(horizon = {horizon}, salt = 1)\n\
+             }}\n"
+        )
+    };
+    let code = "system-horizon-too-large";
+    refuses_then_serves(
+        "fairness-serve-long-horizon",
+        true,
+        &[
+            (batch(1_000_000_000), Refusal::Parse(code)),
+            (batch(100_001), Refusal::Parse(code)),
+        ],
+        &batch(50),
+    );
+}
+
 /// A cross-check whose block rewards would overflow the `u64` ledger
 /// fails its job with `supply-overflow` before any simulation runs, where
 /// it used to panic the executor mid-run and leave every later job queued.

@@ -108,35 +108,71 @@ struct Prefix<T, S> {
 /// holds, returning the results of the settled prefix in repetition
 /// order.
 ///
-/// `settled` sees every result exactly once, in repetition order,
-/// whatever order the workers finish in: it reads the contiguous prefix
-/// `0..k` as it grows. Once it returns `true` for repetition `k − 1`, no
-/// further repetition starts and the first `k` results are returned;
-/// when it never does, all `config.repetitions` are. Workers may have
-/// computed repetitions past `k` by then, but those are discarded, so
-/// the returned prefix — its length included — is the same at every
-/// thread count.
-///
-/// Repetitions are distributed over workers by an atomic-index
-/// *work-stealing* loop: each worker repeatedly claims the next unclaimed
-/// batch of indices, so uneven per-repetition costs (e.g. Table 1's mixed
-/// horizons) leave no worker idle, and checks before each repetition
-/// whether the prefix has settled.
+/// The chunk-of-one case of [`run_monte_carlo_chunks`], which states the
+/// settle and scheduling rules: `settled` sees every result exactly once,
+/// in repetition order; once it returns `true` for repetition `k − 1`, no
+/// further repetition starts and the first `k` results are returned, the
+/// same at every thread count; when it never does, all
+/// `config.repetitions` are.
 pub fn run_monte_carlo_until<T, F, S>(config: McConfig, f: F, settled: S) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &mut Xoshiro256StarStar) -> T + Sync,
     S: FnMut(&T) -> bool + Send,
 {
+    run_monte_carlo_chunks(config, 1, |idx, rngs| [f(idx, &mut rngs[0])], settled)
+}
+
+/// Runs the repetitions in chunks of `chunk` consecutive indices until
+/// `settled` holds, returning the results of the settled prefix in
+/// repetition order.
+///
+/// A chunk is one call `f(first, rngs)`: `rngs[j]` is repetition
+/// `first + j`'s own stream (`SeedSequence::child_rng(first + j)`, as in
+/// [`run_monte_carlo`]), and `f` returns the chunk's results in index
+/// order, exactly `rngs.len()` of them. Chunks start at multiples of
+/// `chunk`; the last one may be shorter. A kernel that advances several
+/// repetitions at once (in SIMD lanes, say) takes a chunk per call, and
+/// as long as each repetition draws only from its own stream the results
+/// do not depend on the chunk size.
+///
+/// `settled` sees every result exactly once, in repetition order,
+/// whatever order the workers finish in: it reads the contiguous prefix
+/// `0..k` as it grows. Once it returns `true` for repetition `k − 1`, no
+/// further chunk starts and the first `k` results are returned; when it
+/// never does, all `config.repetitions` are. Workers may have computed
+/// repetitions past `k` by then (the rest of `k − 1`'s chunk, or chunks
+/// in flight), but those are discarded, so the returned prefix — its
+/// length included — is the same at every thread count and chunk size.
+///
+/// Chunks are distributed over workers by an atomic-index
+/// *work-stealing* loop: each worker repeatedly claims the next unclaimed
+/// chunk, so uneven per-repetition costs (e.g. Table 1's mixed horizons)
+/// leave no worker idle, and checks before each chunk whether the prefix
+/// has settled.
+///
+/// # Panics
+/// Panics if `chunk` is zero or a call of `f` returns the wrong number of
+/// results.
+pub fn run_monte_carlo_chunks<T, I, F, S>(
+    config: McConfig,
+    chunk: usize,
+    f: F,
+    settled: S,
+) -> Vec<T>
+where
+    T: Send,
+    I: IntoIterator<Item = T>,
+    F: Fn(usize, &mut [Xoshiro256StarStar]) -> I + Sync,
+    S: FnMut(&T) -> bool + Send,
+{
+    assert!(chunk > 0, "a chunk holds at least one repetition");
     let reps = config.repetitions;
     if reps == 0 {
         return Vec::new();
     }
     let seq = SeedSequence::new(config.seed);
-    let threads = config.effective_threads().clamp(1, reps);
-    // Small batches amortize the atomic increment without recreating static
-    // chunking's tail imbalance.
-    let batch = (reps / (threads * 8)).clamp(1, 64);
+    let threads = config.effective_threads().clamp(1, reps.div_ceil(chunk));
     let next = AtomicUsize::new(0);
     // Only saves work: what is returned is decided under the lock.
     let stop = AtomicBool::new(false);
@@ -146,17 +182,28 @@ where
         done: false,
         settled,
     });
-    let worker = || loop {
-        let start = next.fetch_add(batch, Ordering::Relaxed);
-        if start >= reps {
-            return;
-        }
-        for idx in start..(start + batch).min(reps) {
+    let worker = || {
+        let mut rngs = Vec::with_capacity(chunk);
+        let mut values = Vec::with_capacity(chunk);
+        loop {
             if stop.load(Ordering::Relaxed) {
                 return;
             }
-            let mut rng = seq.child_rng(idx as u64);
-            let value = f(idx, &mut rng);
+            let start = next.fetch_add(chunk, Ordering::Relaxed);
+            if start >= reps {
+                return;
+            }
+            let end = (start + chunk).min(reps);
+            rngs.clear();
+            rngs.extend((start..end).map(|idx| seq.child_rng(idx as u64)));
+            // Collected before locking, so a lazy iterator's work runs
+            // outside the lock.
+            values.extend(f(start, &mut rngs));
+            assert_eq!(
+                values.len(),
+                end - start,
+                "a chunk returns one result per repetition"
+            );
             let mut guard = prefix.lock().expect("Monte-Carlo prefix lock");
             let Prefix {
                 slots,
@@ -164,7 +211,9 @@ where
                 done,
                 settled,
             } = &mut *guard;
-            slots[idx] = Some(value);
+            for (slot, value) in slots[start..end].iter_mut().zip(values.drain(..)) {
+                *slot = Some(value);
+            }
             while !*done && *fed < reps {
                 let Some(value) = &slots[*fed] else { break };
                 *done = settled(value);
@@ -331,6 +380,96 @@ mod tests {
         );
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert_eq!(started.load(Ordering::Relaxed), 5);
+    }
+
+    /// A chunk kernel that advances its streams in lockstep, one word per
+    /// repetition, as a SIMD lane kernel does.
+    fn lockstep(first: usize, rngs: &mut [Xoshiro256StarStar]) -> Vec<(usize, u64)> {
+        rngs.iter_mut()
+            .enumerate()
+            .map(|(j, rng)| (first + j, rng.next()))
+            .collect()
+    }
+
+    #[test]
+    fn chunked_runs_equal_the_chunk_of_one_runner() {
+        for reps in [1, 7, 8, 10, 13, 200] {
+            let want = run_monte_carlo(McConfig::new(reps, 29).with_threads(1), |i, rng| {
+                (i, rng.next())
+            });
+            for chunk in [3, 8] {
+                for threads in [1, 2, 3, 8] {
+                    let got = run_monte_carlo_chunks(
+                        McConfig::new(reps, 29).with_threads(threads),
+                        chunk,
+                        |first, rngs| {
+                            assert_eq!(first % chunk, 0, "chunks start at multiples");
+                            assert!(!rngs.is_empty() && rngs.len() <= chunk);
+                            lockstep(first, rngs)
+                        },
+                        |_| false,
+                    );
+                    assert_eq!(got, want, "reps {reps}, chunk {chunk}, threads {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_settle_returns_exactly_the_settled_prefix() {
+        // Settle points at a chunk's first, middle and last index, and
+        // never (199 is the last repetition).
+        for settle_at in [0, 8, 10, 15, 199] {
+            for threads in [1, 2, 3, 8] {
+                let mut seen = Vec::new();
+                let out = run_monte_carlo_chunks(
+                    McConfig::new(200, 29).with_threads(threads),
+                    8,
+                    lockstep,
+                    |&(i, _)| {
+                        seen.push(i);
+                        i == settle_at
+                    },
+                );
+                let k = settle_at + 1;
+                let indices: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+                assert_eq!(indices, (0..k).collect::<Vec<_>>(), "threads {threads}");
+                assert_eq!(seen, (0..k).collect::<Vec<_>>(), "fed once each, in order");
+                let full = run_monte_carlo(McConfig::new(200, 29), |i, rng| (i, rng.next()));
+                assert_eq!(out, full[..k], "the prefix is the full run's");
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_runner_stops_claiming_chunks_once_settled() {
+        let calls = AtomicUsize::new(0);
+        let out = run_monte_carlo_chunks(
+            McConfig::new(100, 1).with_threads(1),
+            8,
+            |first, rngs| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                (first..first + rngs.len()).collect::<Vec<_>>()
+            },
+            |&i| i == 10,
+        );
+        assert_eq!(out, (0..11).collect::<Vec<_>>());
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            2,
+            "chunks 0..8 and 8..16 only"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one result per repetition")]
+    fn chunk_with_missing_results_rejected() {
+        let _ = run_monte_carlo_chunks(
+            McConfig::new(16, 1).with_threads(1),
+            8,
+            |first, _rngs| vec![first],
+            |_| false,
+        );
     }
 
     #[test]

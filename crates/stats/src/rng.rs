@@ -72,6 +72,29 @@ impl Xoshiro256StarStar {
         Self { s }
     }
 
+    /// The generator's 256-bit state: what a kernel that steps several
+    /// generators side by side loads, advances with the same transition
+    /// and output functions, and stores back with
+    /// [`from_state`](Self::from_state).
+    #[must_use]
+    pub fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
+    /// The generator at `state`, as taken by [`state`](Self::state) and
+    /// advanced by whole draws.
+    ///
+    /// # Panics
+    /// Panics on the all-zero state, which no generator ever reaches.
+    #[must_use]
+    pub fn from_state(state: [u64; 4]) -> Self {
+        assert!(
+            state != [0; 4],
+            "the all-zero xoshiro256** state is invalid"
+        );
+        Self { s: state }
+    }
+
     /// Returns the next 64-bit output.
     #[inline]
     #[allow(clippy::should_implement_trait)]
@@ -190,6 +213,21 @@ mod tests {
         let zs: Vec<u64> = (0..16).map(|_| c.next()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
+    }
+
+    #[test]
+    fn state_round_trips_mid_stream() {
+        let mut a = Xoshiro256StarStar::new(42);
+        a.next();
+        let mut b = Xoshiro256StarStar::from_state(a.state());
+        assert_eq!(a, b);
+        assert_eq!(a.next(), b.next());
+    }
+
+    #[test]
+    #[should_panic(expected = "all-zero")]
+    fn all_zero_state_rejected() {
+        let _ = Xoshiro256StarStar::from_state([0; 4]);
     }
 
     #[test]
