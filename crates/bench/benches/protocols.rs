@@ -2,46 +2,50 @@
 //! throughput — the cost model behind the figure-scale Monte-Carlo runs
 //! (10,000 repetitions × 5,000 steps).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion,
+};
 use fairness_core::prelude::*;
+use fairness_core::protocol::StepOutcome;
+
+/// Times one protocol's step law on the path games run: `step_into` with
+/// one reused [`StepOutcome`], so the row holds no per-call buffer or
+/// sampler build (`step`'s fresh outcome would add both).
+fn bench_step<P: IncentiveProtocol>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    protocol: P,
+    stakes: &[f64],
+    rng: &mut Xoshiro256StarStar,
+) {
+    let mut out = StepOutcome::new();
+    group.bench_function(BenchmarkId::new(name, stakes.len()), |b| {
+        b.iter(|| {
+            protocol.step_into(black_box(stakes), 0, rng, &mut out);
+            black_box(out.view());
+        });
+    });
+}
 
 fn bench_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("protocol_step");
     let mut rng = Xoshiro256StarStar::new(1);
 
     for m in [2usize, 10] {
-        let shares = paper_multi_miner(m.max(2), 0.2);
-
-        group.bench_with_input(BenchmarkId::new("pow", m), &m, |b, _| {
-            let protocol = Pow::new(&shares, 0.01);
-            let stakes = shares.clone();
-            b.iter(|| protocol.step(black_box(&stakes), 0, &mut rng));
-        });
-        group.bench_with_input(BenchmarkId::new("mlpos", m), &m, |b, _| {
-            let protocol = MlPos::new(0.01);
-            let stakes = shares.clone();
-            b.iter(|| protocol.step(black_box(&stakes), 0, &mut rng));
-        });
-        group.bench_with_input(BenchmarkId::new("slpos", m), &m, |b, _| {
-            let protocol = SlPos::new(0.01);
-            let stakes = shares.clone();
-            b.iter(|| protocol.step(black_box(&stakes), 0, &mut rng));
-        });
-        group.bench_with_input(BenchmarkId::new("fslpos", m), &m, |b, _| {
-            let protocol = FslPos::new(0.01);
-            let stakes = shares.clone();
-            b.iter(|| protocol.step(black_box(&stakes), 0, &mut rng));
-        });
-        group.bench_with_input(BenchmarkId::new("cpos_p1", m), &m, |b, _| {
-            let protocol = CPos::new(0.01, 0.1, 1);
-            let stakes = shares.clone();
-            b.iter(|| protocol.step(black_box(&stakes), 0, &mut rng));
-        });
-        group.bench_with_input(BenchmarkId::new("cpos_p32", m), &m, |b, _| {
-            let protocol = CPos::new(0.01, 0.1, 32);
-            let stakes = shares.clone();
-            b.iter(|| protocol.step(black_box(&stakes), 0, &mut rng));
-        });
+        let shares = paper_multi_miner(m, 0.2);
+        let rng = &mut rng;
+        bench_step(&mut group, "pow", Pow::new(&shares, 0.01), &shares, rng);
+        bench_step(&mut group, "mlpos", MlPos::new(0.01), &shares, rng);
+        bench_step(&mut group, "slpos", SlPos::new(0.01), &shares, rng);
+        bench_step(&mut group, "fslpos", FslPos::new(0.01), &shares, rng);
+        bench_step(&mut group, "cpos_p1", CPos::new(0.01, 0.1, 1), &shares, rng);
+        bench_step(
+            &mut group,
+            "cpos_p32",
+            CPos::new(0.01, 0.1, 32),
+            &shares,
+            rng,
+        );
     }
     group.finish();
 }

@@ -89,24 +89,22 @@ impl EnsembleKey {
     /// files are invalidated wholesale when the format changes and can
     /// never collide with the RNG-seed domain by construction.
     ///
-    /// The digest also mixes in the crate version and the spill module's
-    /// `SIMULATION_REVISION`: a spilled ensemble is only a *cache* of what
-    /// the current code would compute, so any release — and any
-    /// simulation-behavior change, which must bump the revision — orphans
-    /// every existing spill rather than serving stale trajectories.
+    /// The digest starts from the spill module's common prefix (crate
+    /// version and simulation revision): a spilled ensemble is only a
+    /// *cache* of what the current code would compute, so any release —
+    /// and any simulation-behavior change, which must bump the revision —
+    /// orphans every existing spill rather than serving stale
+    /// trajectories.
     ///
     /// A settled probe's digest starts from its own domain tag, so it can
     /// never name the full ensemble's spill file.
     #[must_use]
     pub fn disk_digest(&self, master_seed: u64) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_str(if self.settled {
+        let mut h = diskcache::spill_hasher(if self.settled {
             "settled-probe-spill-v1"
         } else {
             "ensemble-spill-v1"
         });
-        h.write_str(env!("CARGO_PKG_VERSION"));
-        h.write_u64(super::diskcache::SIMULATION_REVISION);
         h.write_u64(self.seed(master_seed));
         h.finish()
     }
@@ -263,43 +261,34 @@ impl SweepCache {
         let seed = key.seed(self.master_seed);
         let digest = key.disk_digest(self.master_seed);
         self.inner.get_or_insert_with(&key, || {
-            if let Some(dir) = &self.disk {
-                if let Some(spilled) = diskcache::load(dir, digest) {
-                    // Shape guard against the astronomically unlikely
-                    // digest collision (and the merely unlikely hand-edited
-                    // file): a mismatched spill is treated as corrupt. A
-                    // settled probe holds a prefix of the repetitions.
-                    let reps_fit = if key.settled {
-                        (1..=repetitions).contains(&spilled.repetitions)
-                    } else {
-                        spilled.repetitions == repetitions
-                    };
-                    if reps_fit
-                        && spilled.points.len() == checkpoints.len()
-                        && spilled
-                            .points
-                            .iter()
-                            .zip(checkpoints)
-                            .all(|(p, &n)| p.n == n)
-                    {
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        return Arc::new(spilled);
-                    }
-                }
-            }
-            let config = EnsembleConfig {
-                initial_shares: shares.to_vec(),
-                checkpoints: checkpoints.to_vec(),
-                repetitions,
-                seed,
-                eps_delta: self.eps_delta,
-                withholding,
+            // Shape guard against the astronomically unlikely digest
+            // collision (and the merely unlikely hand-edited file): a
+            // mismatched spill is treated as corrupt. A settled probe
+            // holds a prefix of the repetitions.
+            let fits = |spilled: &EnsembleSummary| {
+                let reps_fit = if key.settled {
+                    (1..=repetitions).contains(&spilled.repetitions)
+                } else {
+                    spilled.repetitions == repetitions
+                };
+                reps_fit
+                    && spilled.points.len() == checkpoints.len()
+                    && spilled
+                        .points
+                        .iter()
+                        .zip(checkpoints)
+                        .all(|(p, &n)| p.n == n)
             };
-            let summary = compute(&config);
-            if let Some(dir) = &self.disk {
-                diskcache::store(dir, digest, &summary);
-            }
-            Arc::new(summary)
+            Arc::new(self.system_summary(digest, fits, || {
+                compute(&EnsembleConfig {
+                    initial_shares: shares.to_vec(),
+                    checkpoints: checkpoints.to_vec(),
+                    repetitions,
+                    seed,
+                    eps_delta: self.eps_delta,
+                    withholding,
+                })
+            }))
         })
     }
 
@@ -309,27 +298,42 @@ impl SweepCache {
     /// shape guard against digest collisions), it is served bit-exactly;
     /// otherwise `compute` runs and its result is spilled. System runs
     /// are deterministic functions of their digested configuration, so —
-    /// exactly like ensembles — disk reuse never changes a byte of
-    /// output.
+    /// exactly like ensembles, whose lookups take this same path — disk
+    /// reuse never changes a byte of output.
     pub fn system_summary(
         &self,
         digest: u64,
         validate: impl Fn(&EnsembleSummary) -> bool,
         compute: impl FnOnce() -> EnsembleSummary,
     ) -> EnsembleSummary {
+        let Ok(summary) = self.try_system_summary(digest, validate, || {
+            Ok::<_, std::convert::Infallible>(compute())
+        });
+        summary
+    }
+
+    /// [`system_summary`](Self::system_summary) with a fallible
+    /// `compute`: an error (a cancelled cross-check) is returned as is,
+    /// and nothing is spilled.
+    pub(crate) fn try_system_summary<E>(
+        &self,
+        digest: u64,
+        validate: impl Fn(&EnsembleSummary) -> bool,
+        compute: impl FnOnce() -> Result<EnsembleSummary, E>,
+    ) -> Result<EnsembleSummary, E> {
         if let Some(dir) = &self.disk {
             if let Some(spilled) = diskcache::load(dir, digest) {
                 if validate(&spilled) {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return spilled;
+                    return Ok(spilled);
                 }
             }
         }
-        let summary = compute();
+        let summary = compute()?;
         if let Some(dir) = &self.disk {
             diskcache::store(dir, digest, &summary);
         }
-        summary
+        Ok(summary)
     }
 
     /// Process-level misses answered from the on-disk spill (a subset of
@@ -433,6 +437,32 @@ mod tests {
         );
         assert_ne!(key.seed(1), key.seed(2));
         assert_eq!(key.seed(1), key.seed(1));
+    }
+
+    #[test]
+    fn spill_digests_are_pinned() {
+        // Spill files are named by these digests: a digest that moves
+        // silently orphans every existing spill, so the recipe is pinned
+        // for a full ensemble and a settled probe.
+        let full = EnsembleKey::new(
+            &MlPos::new(0.01),
+            &two_miner(0.2),
+            &[50, 100],
+            40,
+            EpsilonDelta::default(),
+            Some(WithholdingSchedule::every(25)),
+        );
+        assert_eq!(full.disk_digest(99), 0x0e0b_190d_08db_84c6);
+        let settled = EnsembleKey::new(
+            &SlPos::new(0.01),
+            &fairness_core::miner::paper_multi_miner(3, 0.45),
+            &[3_000],
+            64,
+            EpsilonDelta::default(),
+            None,
+        )
+        .settled();
+        assert_eq!(settled.disk_digest(21), 0xdda7_bc29_f453_24e3);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! persists every computed ensemble under `results/.cache/` so repeated
 //! `repro` invocations (and `repro scenario` runs over the same grids)
 //! reuse ensembles across processes. Files are keyed by a versioned
-//! [`StableHasher`](fairness_stats::cache::StableHasher) digest of the
-//! full ensemble key *including the master seed*, so a `--seed` change
-//! can never serve stale trajectories.
+//! [`StableHasher`] digest of the full ensemble key *including the master
+//! seed* (`spill_hasher` starts every one), so a `--seed` change can
+//! never serve stale trajectories.
 //!
 //! The format is a small line-oriented text encoding (consistent with the
 //! repo's no-real-serde dependency policy). `f64` values are printed with
@@ -21,6 +21,7 @@
 //! affecting results.
 
 use fairness_core::montecarlo::{BandPoint, EnsembleSummary};
+use fairness_stats::cache::StableHasher;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -30,15 +31,30 @@ const MAGIC: &str = "fairness-ensemble v1";
 
 /// Simulation-behavior revision, mixed into every spill digest alongside
 /// the crate version. **Bump this whenever a change alters what any
-/// ensemble or hash-level system summary computes** — protocol `step`
-/// logic, `run_ensemble`, chain-sim lotteries,
-/// summarization, RNG streams — so stale spills from the previous
-/// behavior are orphaned instead of served. (Pure format changes bump
+/// ensemble or hash-level system summary computes** — a protocol's
+/// `step_into` law, `run_ensemble`, chain-sim lotteries, summarization,
+/// RNG streams — so stale spills from the previous behavior are orphaned
+/// instead of served. (Pure format changes bump
 /// [`MAGIC`] instead; releases invalidate automatically via the crate
 /// version.) The cache is an optimization only: `--no-disk-cache` or
 /// deleting `results/.cache/` always yields ground truth, and CI runs
 /// cold.
-pub(crate) const SIMULATION_REVISION: u64 = 1;
+const SIMULATION_REVISION: u64 = 1;
+
+/// Starts a spill digest: `domain` (what kind of entry, with its own
+/// format revision), the crate version and [`SIMULATION_REVISION`]. The
+/// caller mixes in the entry's content and finishes. Every spill key
+/// starts from here, so a release or a simulation-behavior bump orphans
+/// every existing spill rather than serving stale results, and distinct
+/// domains can never name each other's files.
+#[must_use]
+pub(crate) fn spill_hasher(domain: &str) -> StableHasher {
+    let mut h = StableHasher::new();
+    h.write_str(domain);
+    h.write_str(env!("CARGO_PKG_VERSION"));
+    h.write_u64(SIMULATION_REVISION);
+    h
+}
 
 /// The spill path for a digest.
 #[must_use]

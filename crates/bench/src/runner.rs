@@ -11,6 +11,7 @@
 //! `--jobs` level, exactly like the built-in figures.
 
 use crate::experiments::common::band_rows;
+use crate::experiments::diskcache;
 use crate::report::{fmt4, write_csv, TextTable};
 use crate::service::{ProgressEvent, SweepSession};
 use chain_sim::{run_experiment, ExperimentConfig, ProtocolKind};
@@ -266,13 +267,18 @@ fn system_config(
 /// disk cache: the summary is a deterministic function of the digested
 /// configuration, so repeated invocations reuse it bit-exactly instead of
 /// re-grinding the hash-level network.
+///
+/// A repetition at the 10⁵-block cap takes about a second, so the
+/// session's cancellation is checked before each one: a cancelled
+/// cross-check stops once the repetitions in flight finish and returns
+/// [`ScenarioError::Cancelled`], spilling nothing.
 fn run_system(
     ctx: &SweepSession,
     resolved: &Resolved,
     kind: ProtocolKind,
     horizon: u64,
     salt: u64,
-) -> EnsembleSummary {
+) -> Result<EnsembleSummary, ScenarioError> {
     let opts = ctx.opts;
     let (a, config) = system_config(
         &resolved.shares,
@@ -281,10 +287,7 @@ fn run_system(
         horizon,
     );
     let digest = {
-        let mut h = fairness_stats::cache::StableHasher::new();
-        h.write_str("system-spill-v1");
-        h.write_str(env!("CARGO_PKG_VERSION"));
-        h.write_u64(crate::experiments::diskcache::SIMULATION_REVISION);
+        let mut h = diskcache::spill_hasher("system-spill-v1");
         h.write_str(kind.name());
         h.write_u64(a.to_bits());
         h.write_u64(resolved.protocol.reward_per_step().to_bits());
@@ -297,7 +300,7 @@ fn run_system(
         }
         h.finish()
     };
-    ctx.cache.system_summary(
+    ctx.cache.try_system_summary(
         digest,
         |spilled| {
             spilled.repetitions == opts.system_repetitions
@@ -312,8 +315,11 @@ fn run_system(
         || {
             let trajectories = run_monte_carlo(
                 McConfig::new(opts.system_repetitions, opts.seed ^ salt),
-                |_i, rng| run_experiment(&config, rng).lambda_series,
-            );
+                |_i, rng| (!ctx.is_cancelled()).then(|| run_experiment(&config, rng).lambda_series),
+            )
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or(ScenarioError::Cancelled)?;
             let ec = EnsembleConfig {
                 initial_shares: resolved.shares.clone(),
                 checkpoints: config.checkpoints.clone(),
@@ -322,7 +328,7 @@ fn run_system(
                 eps_delta: EpsilonDelta::default(),
                 withholding: None,
             };
-            summarize(kind.name(), &ec, &trajectories)
+            Ok(summarize(kind.name(), &ec, &trajectories))
         },
     )
 }
@@ -359,8 +365,10 @@ pub fn run_scenarios(
     let unsent: Mutex<(usize, Vec<Option<ProgressEvent>>)> =
         Mutex::new((0, vec![None; resolved.len()]));
     let outcomes = ctx.pool.par_map(resolved.len(), |i| {
-        // Cancellation is observed between scenarios, never mid-ensemble:
-        // a finished point is always a valid cache entry.
+        // Cancellation is observed between scenarios and between a
+        // cross-check's repetitions, never mid-ensemble: a finished point
+        // is always a valid cache entry, and a cancelled cross-check
+        // leaves none.
         if ctx.is_cancelled() {
             return None;
         }
@@ -373,7 +381,9 @@ pub fn run_scenarios(
             r.withholding,
         );
         let system = match (ctx.opts.with_system, r.system) {
-            (true, Some((kind, horizon, salt))) => Some(run_system(ctx, r, kind, horizon, salt)),
+            (true, Some((kind, horizon, salt))) => {
+                Some(run_system(ctx, r, kind, horizon, salt).ok()?)
+            }
             _ => None,
         };
         let mut guard = unsent.lock().expect("scenario event lock");
@@ -610,6 +620,15 @@ mod tests {
         let cold =
             run_scenarios(&first.session(), std::slice::from_ref(&with_system)).expect("cold");
         assert_eq!(first.cache().disk_hits(), 0, "cold cache computes");
+        // Spill files are named by their digests; a digest that moves
+        // silently orphans every existing spill, so both names are pinned
+        // (the system summary's first, then the ensemble's).
+        let mut spilled: Vec<String> = std::fs::read_dir(dir.join(".cache"))
+            .expect("spill dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        spilled.sort();
+        assert_eq!(spilled, ["b53c445219889ee5.ens", "c0417eab5307a0fa.ens"]);
 
         let second = SweepService::new(opts);
         let warm =

@@ -244,7 +244,7 @@ impl SweepJob {
     }
 
     /// Whether cancellation was requested (the executing sweep observes
-    /// this between scenarios).
+    /// this between scenarios and between a cross-check's repetitions).
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::Relaxed)
@@ -820,9 +820,10 @@ impl SweepService {
     }
 
     /// Requests cancellation. A queued job is cancelled immediately
-    /// (removed from the queue); a running job finishes its current
-    /// scenario and then observes the flag. Returns whether the
-    /// fingerprint named a live (non-terminal) job.
+    /// (removed from the queue); a running job observes the flag before
+    /// its next scenario or hash-level cross-check repetition, so it ends
+    /// once the closed-form ensembles and repetitions in flight finish.
+    /// Returns whether the fingerprint named a live (non-terminal) job.
     pub fn cancel(&self, fingerprint: u64) -> bool {
         let mut state = self.state.lock().expect("service lock");
         let Some(job) = state.jobs.get(&fingerprint).cloned() else {
@@ -951,8 +952,8 @@ impl<'a> SweepSession<'a> {
     }
 
     /// Whether the driving job (if any) was asked to cancel. Sweeps
-    /// check this between scenarios; sessions without a job never
-    /// cancel.
+    /// check this between scenarios and between a cross-check's
+    /// repetitions; sessions without a job never cancel.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         self.job.is_some_and(SweepJob::is_cancelled)
@@ -1115,6 +1116,56 @@ mod tests {
         // Terminal jobs cannot be re-cancelled; unknown fingerprints miss.
         assert!(!svc.cancel(job.fingerprint()));
         assert!(!svc.cancel(0xdead));
+    }
+
+    /// A cancel that lands inside a hash-level cross-check ends the job
+    /// once the repetitions in flight finish, not after the whole
+    /// cross-check, and spills no partial system summary.
+    #[test]
+    fn cancel_lands_inside_a_running_cross_check() {
+        let mut opts = tiny_opts("svc-cancel-system");
+        opts.with_system = true;
+        opts.disk_cache = true;
+        // 200 repetitions of a 2·10⁴-block network: about 40 s of
+        // hash-level work on two cores, far past the deadline below.
+        opts.system_repetitions = 200;
+        let cache_dir = opts.results_dir.join(".cache");
+        let _ = std::fs::remove_dir_all(&opts.results_dir);
+        let svc = SweepService::new(opts);
+        let slow = ScenarioSpec::builder("slow", ProtocolSpec::new("sl-pos").with("w", 0.01))
+            .two_miner(0.2)
+            .explicit(vec![50])
+            .repetitions(30)
+            .system("sl-pos", 20_000, 1)
+            .build();
+        let (job, _) = svc.submit(vec![slow]).expect("submit");
+        let deadline = Instant::now() + Duration::from_secs(15);
+        std::thread::scope(|scope| {
+            scope.spawn(|| svc.execute(&svc.next_job().expect("job")));
+            // The closed-form ensemble is memoized just before the
+            // cross-check starts, so the cancel lands inside it.
+            while svc.cache().is_empty() {
+                assert!(Instant::now() < deadline, "the ensemble never finished");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(svc.cancel(job.fingerprint()));
+            let mut cursor = 0;
+            loop {
+                let (_, after, done) = job.wait_events(cursor, Duration::from_millis(100));
+                if done {
+                    break;
+                }
+                cursor = after;
+                assert!(Instant::now() < deadline, "the cross-check ran on");
+            }
+        });
+        assert_eq!(job.phase(), JobPhase::Cancelled);
+        let (events, _, _) = job.events_since(0);
+        assert_eq!(events.last(), Some(&ProgressEvent::Cancelled));
+        assert_eq!(svc.metrics().jobs_cancelled, 1);
+        let spilled = crate::experiments::diskcache::scan(&cache_dir).expect("scan");
+        assert_eq!(spilled.entries, 1, "the ensemble's spill only");
+        let _ = std::fs::remove_dir_all(&svc.opts().results_dir);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!    machinery unchanged (the `chain-sim` crate hosts the hash-level
 //!    counterpart, `ForkNetSim`, validated against the same laws).
 
-use crate::protocol::{protocol_tag, IncentiveProtocol, StepOutcome, StepRewards, StepRewardsView};
+use crate::protocol::{protocol_tag, IncentiveProtocol, StepOutcome, StepRewardsView};
 use fairness_stats::rng::Xoshiro256StarStar;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -570,12 +570,6 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Adversary<P, S> {
         p
     }
 
-    fn step(&self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let mut out = StepOutcome::new();
-        self.step_into(stakes, step, rng, &mut out);
-        out.to_rewards()
-    }
-
     fn step_into(
         &self,
         stakes: &[f64],
@@ -638,6 +632,7 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Adversary<P, S> {
 mod tests {
     use super::*;
     use crate::montecarlo::{run_ensemble, EnsembleConfig};
+    use crate::protocol::StepRewards;
     use crate::protocols::{CPos, MlPos, Pow, SlPos};
     use fairness_stats::dist::{
         selfish_mining_relative_revenue, selfish_mining_threshold, stake_grinding_win_probability,

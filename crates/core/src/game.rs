@@ -546,7 +546,6 @@ impl<P: IncentiveProtocol> MiningGame<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::StepRewards;
     use crate::protocols::{CPos, MlPos, Pow, SlPos};
 
     #[test]
@@ -642,9 +641,9 @@ mod tests {
             Vec::new()
         }
 
-        fn step(&self, _: &[f64], _: u64, _: &mut Xoshiro256StarStar) -> StepRewards {
+        fn step_into(&self, _: &[f64], _: u64, _: &mut Xoshiro256StarStar, out: &mut StepOutcome) {
             // Sums to exactly 0.01 — only the entry-wise check catches it.
-            StepRewards::Split(vec![1.01, -1.0])
+            out.split_slots(2).copy_from_slice(&[1.01, -1.0]);
         }
     }
 
@@ -675,8 +674,8 @@ mod tests {
             Vec::new()
         }
 
-        fn step(&self, _: &[f64], _: u64, _: &mut Xoshiro256StarStar) -> StepRewards {
-            StepRewards::Split(vec![0.004, 0.004])
+        fn step_into(&self, _: &[f64], _: u64, _: &mut Xoshiro256StarStar, out: &mut StepOutcome) {
+            out.split_slots(2).copy_from_slice(&[0.004, 0.004]);
         }
     }
 

@@ -76,9 +76,7 @@ pub use mdp::{
     best_response_equilibrium, solve_optimal, BestResponse, Equilibrium, EquilibriumConfig,
     OptimalWithholding, SolvedPolicy,
 };
-pub use montecarlo::{
-    run_ensemble, run_ensemble_multi, summarize, BandPoint, EnsembleConfig, EnsembleSummary,
-};
+pub use montecarlo::{run_ensemble, summarize, BandPoint, EnsembleConfig, EnsembleSummary};
 pub use protocol::{IncentiveProtocol, StepRewards};
 pub use protocols::{Algorand, CPos, Eos, FslPos, MlPos, Neo, Pow, SlPos};
 pub use redistribution::{Alleviation, ClusterTax, FeeLottery, Sybil, SybilSplit};
@@ -104,9 +102,7 @@ pub mod prelude {
         OptimalWithholding, SolvedPolicy,
     };
     pub use crate::miner::{equal_shares, paper_multi_miner, two_miner, zipf_shares};
-    pub use crate::montecarlo::{
-        run_ensemble, run_ensemble_multi, BandPoint, EnsembleConfig, EnsembleSummary,
-    };
+    pub use crate::montecarlo::{run_ensemble, BandPoint, EnsembleConfig, EnsembleSummary};
     pub use crate::protocol::{IncentiveProtocol, StepRewards};
     pub use crate::protocols::{Algorand, CPos, Eos, FslPos, MlPos, Neo, Pow, SlPos};
     pub use crate::redistribution::{Alleviation, ClusterTax, FeeLottery, Sybil, SybilSplit};

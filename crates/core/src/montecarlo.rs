@@ -11,7 +11,7 @@ use crate::fairness::{unfair_probability, EpsilonDelta};
 use crate::game::MiningGame;
 use crate::protocol::IncentiveProtocol;
 use crate::withholding::WithholdingSchedule;
-use fairness_stats::mc::{run_monte_carlo, run_monte_carlo_chunks, McConfig};
+use fairness_stats::mc::{run_monte_carlo_chunks, McConfig};
 use fairness_stats::summary::{FiveNumber, MeanAboveHalf};
 
 /// Band statistics at one checkpoint.
@@ -199,64 +199,6 @@ where
     )
 }
 
-/// Runs the ensemble tracking **every** miner, returning one summary per
-/// miner (each evaluated against that miner's own initial share).
-///
-/// Costs the same simulation work as [`run_ensemble`]; only the recorded
-/// statistics multiply.
-///
-/// # Panics
-/// Panics on invalid configuration.
-#[must_use]
-pub fn run_ensemble_multi<P>(protocol: &P, config: &EnsembleConfig) -> Vec<EnsembleSummary>
-where
-    P: IncentiveProtocol + Clone,
-{
-    assert!(config.repetitions > 0, "need at least one repetition");
-    assert!(
-        !config.checkpoints.is_empty(),
-        "need at least one checkpoint"
-    );
-    let m = config.initial_shares.len();
-    let mut trajectories = run_monte_carlo(
-        McConfig::new(config.repetitions, config.seed),
-        |_idx, rng| {
-            let mut game = MiningGame::new(protocol.clone(), &config.initial_shares);
-            if let Some(schedule) = config.withholding {
-                game = game.with_withholding(schedule);
-            }
-            game.run_with_checkpoints_all(&config.checkpoints, rng)
-                .into_iter()
-                .map(|t| t.values)
-                .collect::<Vec<_>>()
-        },
-    );
-    let shares = crate::miner::normalize_shares(&config.initial_shares);
-    let label = protocol.label();
-    let mut column = vec![0.0f64; trajectories.len()];
-    (0..m)
-        .map(|i| {
-            // Move each repetition's miner-i trajectory out of the shared
-            // buffer instead of deep-cloning it — every [rep][miner] cell
-            // is consumed exactly once.
-            let per_rep: Vec<Vec<f64>> = trajectories
-                .iter_mut()
-                .map(|reps| std::mem::take(&mut reps[i]))
-                .collect();
-            let mut cfg = config.clone();
-            // Evaluate miner i against her own share.
-            cfg.initial_shares = {
-                let mut s = shares.clone();
-                s.swap(0, i);
-                s
-            };
-            let mut summary = summarize_with_scratch(&label, &cfg, &per_rep, &mut column);
-            summary.share = shares[i];
-            summary
-        })
-        .collect()
-}
-
 /// Builds an [`EnsembleSummary`] from raw per-repetition λ-trajectories
 /// (also used by the chain-sim experiment harness, whose trajectories come
 /// from hash-level networks rather than closed-form games).
@@ -269,19 +211,6 @@ pub fn summarize(
     config: &EnsembleConfig,
     trajectories: &[Vec<f64>],
 ) -> EnsembleSummary {
-    let mut column = Vec::new();
-    summarize_with_scratch(protocol_name, config, trajectories, &mut column)
-}
-
-/// [`summarize`] with a caller-provided column scratch buffer, so
-/// summarizing many miners (or many ensembles) reuses one allocation —
-/// the per-checkpoint scatter already reuses the buffer within a call.
-fn summarize_with_scratch(
-    protocol_name: &str,
-    config: &EnsembleConfig,
-    trajectories: &[Vec<f64>],
-    column: &mut Vec<f64>,
-) -> EnsembleSummary {
     assert!(!trajectories.is_empty(), "no trajectories to summarize");
     let k = config.checkpoints.len();
     assert!(
@@ -290,19 +219,18 @@ fn summarize_with_scratch(
     );
     let a = config.initial_shares[0];
     let mut points = Vec::with_capacity(k);
-    column.clear();
-    column.resize(trajectories.len(), 0.0);
+    let mut column = vec![0.0; trajectories.len()];
     for (ci, &n) in config.checkpoints.iter().enumerate() {
         for (ri, t) in trajectories.iter().enumerate() {
             column[ri] = t[ci];
         }
-        let summary = FiveNumber::from_samples(column);
+        let summary = FiveNumber::from_samples(&column);
         points.push(BandPoint {
             n,
             mean: summary.mean,
             p05: summary.p05,
             p95: summary.p95,
-            unfair_probability: unfair_probability(column, a, config.eps_delta),
+            unfair_probability: unfair_probability(&column, a, config.eps_delta),
         });
     }
     EnsembleSummary {
@@ -386,38 +314,6 @@ mod tests {
         assert!(last.unfair_probability < 0.1, "{}", last.unfair_probability);
         let cvg = summary.convergence_time(EpsilonDelta::default());
         assert!(cvg.is_some_and(|n| n <= 500), "{cvg:?}");
-    }
-
-    #[test]
-    fn multi_miner_ensemble_consistent() {
-        let shares = vec![0.2, 0.3, 0.5];
-        let config = EnsembleConfig {
-            initial_shares: shares.clone(),
-            checkpoints: vec![100, 400],
-            repetitions: 800,
-            seed: 46,
-            eps_delta: EpsilonDelta::default(),
-            withholding: None,
-        };
-        let summaries = run_ensemble_multi(&MlPos::new(0.01), &config);
-        assert_eq!(summaries.len(), 3);
-        // Means per checkpoint sum to 1 and match the shares.
-        for ci in 0..2 {
-            let total: f64 = summaries.iter().map(|s| s.points[ci].mean).sum();
-            assert!((total - 1.0).abs() < 1e-9, "{total}");
-        }
-        for (s, &a) in summaries.iter().zip(&shares) {
-            assert_eq!(s.share, a);
-            assert!(
-                (s.final_point().mean - a).abs() < 0.02,
-                "{}",
-                s.final_point().mean
-            );
-        }
-        // Miner 0's summary agrees with the single-miner path on the same
-        // seed.
-        let single = run_ensemble(&MlPos::new(0.01), &config);
-        assert_eq!(summaries[0].points, single.points);
     }
 
     #[test]

@@ -35,14 +35,16 @@ enum OutcomeKind {
     Split,
 }
 
-/// Reusable output and scratch state for [`IncentiveProtocol::step_into`].
+/// Output and scratch state of [`IncentiveProtocol::step_into`].
 ///
 /// One `StepOutcome` lives for the whole of a game (the
 /// [`crate::game::MiningGame`] owns one) and is written anew every step,
 /// so the steady-state stepping loop performs **zero heap allocations**:
 /// the `Split` buffer keeps its capacity across steps, adapters borrow
 /// scratch vectors from small internal pools instead of allocating, and
-/// the incremental stake sampler persists between draws.
+/// the incremental stake sampler persists between draws. A fresh outcome
+/// per step (what [`IncentiveProtocol::step`] uses) draws the same
+/// allocation, only with a rebuild of every buffer and sampler.
 ///
 /// # The weighted-draw contract
 ///
@@ -122,23 +124,8 @@ impl StepOutcome {
         }
     }
 
-    /// Stores an owned [`StepRewards`] (the default
-    /// [`IncentiveProtocol::step_into`] bridges through this).
-    pub fn assign(&mut self, rewards: StepRewards) {
-        match rewards {
-            StepRewards::Winner(w) => self.set_winner(w),
-            StepRewards::Split(v) => {
-                self.kind = OutcomeKind::Split;
-                self.split.clear();
-                self.split.extend_from_slice(&v);
-                // Recycle the incoming allocation for adapter scratch.
-                self.give_f64(v);
-            }
-        }
-    }
-
-    /// Copies the recorded step out as an owned [`StepRewards`] (the
-    /// compatibility bridge for [`IncentiveProtocol::step`]).
+    /// Copies the recorded step out as an owned [`StepRewards`] (what
+    /// [`IncentiveProtocol::step`] returns).
     #[must_use]
     pub fn to_rewards(&self) -> StepRewards {
         match self.kind {
@@ -160,10 +147,10 @@ impl StepOutcome {
     /// Retained scratch vectors per pool. Balanced take/give pairs (the
     /// in-crate protocols and adapters) never exceed a handful even when
     /// nested; the cap exists so a give-only caller — e.g. a downstream
-    /// protocol relying on the default `step_into`, whose returned
-    /// `Split` buffer lands in the pool via [`assign`](Self::assign)
-    /// every step — recycles a bounded set instead of hoarding one
-    /// vector per step.
+    /// protocol that builds each allocation in a fresh vector and hands
+    /// it to [`commit_split`](Self::commit_split), which pools the
+    /// previous buffer every step — recycles a bounded set instead of
+    /// hoarding one vector per step.
     const POOL_CAP: usize = 8;
 
     /// Borrows a cleared `f64` scratch vector from the pool (allocates
@@ -266,23 +253,6 @@ impl StepOutcome {
     }
 }
 
-impl StepRewards {
-    /// Reward earned by miner `i` given the step's total reward.
-    #[must_use]
-    pub fn amount_for(&self, i: usize, total: f64) -> f64 {
-        match self {
-            StepRewards::Winner(w) => {
-                if *w == i {
-                    total
-                } else {
-                    0.0
-                }
-            }
-            StepRewards::Split(v) => v.get(i).copied().unwrap_or(0.0),
-        }
-    }
-}
-
 /// An incentive protocol, in the paper's normalized units: initial stakes
 /// sum to 1 and rewards are fractions thereof (Assumptions 2–3).
 pub trait IncentiveProtocol: Send + Sync {
@@ -316,23 +286,18 @@ pub trait IncentiveProtocol: Send + Sync {
     /// their caches (and derive ensemble seeds) from it.
     fn params(&self) -> Vec<f64>;
 
-    /// Draws one step's allocation given the current staking powers
-    /// (`stakes` need not be normalized; protocols use relative weights).
-    fn step(&self, stakes: &[f64], step_index: u64, rng: &mut Xoshiro256StarStar) -> StepRewards;
-
-    /// Buffer-reuse variant of [`step`](Self::step): writes the
-    /// allocation into `out` instead of returning an owned value, so a
-    /// stepping loop that holds one [`StepOutcome`] performs no
-    /// steady-state heap allocations.
+    /// The protocol's step law: draws one step's allocation given the
+    /// current staking powers (`stakes` need not be normalized; protocols
+    /// use relative weights) and writes it into `out`.
     ///
-    /// Must draw the same allocation from the same RNG stream as
-    /// [`step`](Self::step) — the two are interchangeable bit-for-bit,
-    /// and every CSV of the reproduction pipeline is pinned to that
-    /// equivalence. The default implementation delegates to
-    /// [`step`](Self::step) (correct, but allocating); every protocol in
-    /// this crate overrides it with an allocation-free body. Unlike
-    /// [`step`](Self::step), which validates its inputs, the hot path
-    /// trusts the caller to maintain the game invariants (checked in
+    /// This is the only stepping method a protocol implements, and the
+    /// one every game runs. A stepping loop that holds one
+    /// [`StepOutcome`] performs no steady-state heap allocations. A fresh
+    /// or a reused `out` yields the same draw from the same RNG stream:
+    /// pooled buffers and the incremental sampler only save work (up to
+    /// the sampler's ulp-level caveat, see [`FenwickSampler`]). The hot
+    /// path trusts the caller to maintain the game invariants — a
+    /// non-empty stake vector with a positive finite total (checked in
     /// debug builds).
     fn step_into(
         &self,
@@ -340,8 +305,23 @@ pub trait IncentiveProtocol: Send + Sync {
         step_index: u64,
         rng: &mut Xoshiro256StarStar,
         out: &mut StepOutcome,
-    ) {
-        out.assign(self.step(stakes, step_index, rng));
+    );
+
+    /// One step as an owned [`StepRewards`], for callers outside a game
+    /// loop: checks that `stakes` is non-empty with a positive finite
+    /// total, then runs [`step_into`](Self::step_into) on a fresh
+    /// [`StepOutcome`], so it draws exactly what `step_into` draws and
+    /// only adds the fresh outcome's allocations. Not meant to be
+    /// overridden.
+    ///
+    /// # Panics
+    /// Panics if `stakes` is empty or its total is not positive and
+    /// finite.
+    fn step(&self, stakes: &[f64], step_index: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
+        let _ = crate::protocols::total_stake(stakes);
+        let mut out = StepOutcome::new();
+        self.step_into(stakes, step_index, rng, &mut out);
+        out.to_rewards()
     }
 
     /// If — and only if — this protocol's step distribution is exactly
@@ -375,25 +355,4 @@ pub fn protocol_tag<P: IncentiveProtocol + ?Sized>(inner: &P) -> f64 {
     let mut h = fairness_stats::cache::StableHasher::new();
     h.write_str(inner.name());
     f64::from_bits(h.finish())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn winner_amounts() {
-        let r = StepRewards::Winner(1);
-        assert_eq!(r.amount_for(1, 0.5), 0.5);
-        assert_eq!(r.amount_for(0, 0.5), 0.0);
-        assert_eq!(r.amount_for(7, 0.5), 0.0);
-    }
-
-    #[test]
-    fn split_amounts() {
-        let r = StepRewards::Split(vec![0.1, 0.4]);
-        assert_eq!(r.amount_for(0, 0.5), 0.1);
-        assert_eq!(r.amount_for(1, 0.5), 0.4);
-        assert_eq!(r.amount_for(2, 0.5), 0.0);
-    }
 }

@@ -6,8 +6,8 @@
 //! ((0, 0)-fairness) — at the cost, the paper notes, of weak participation
 //! incentives.
 
-use super::{assert_positive_reward, total_stake};
-use crate::protocol::{IncentiveProtocol, StepOutcome, StepRewards};
+use super::assert_positive_reward;
+use crate::protocol::{IncentiveProtocol, StepOutcome};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Algorand-style inflation-only rewards.
@@ -41,11 +41,6 @@ impl IncentiveProtocol for Algorand {
         vec![self.inflation]
     }
 
-    fn step(&self, stakes: &[f64], _step: u64, _rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let total = total_stake(stakes);
-        StepRewards::Split(stakes.iter().map(|&s| self.inflation * s / total).collect())
-    }
-
     fn step_into(
         &self,
         stakes: &[f64],
@@ -66,6 +61,7 @@ impl IncentiveProtocol for Algorand {
 mod tests {
     use super::*;
     use crate::montecarlo::{run_ensemble, EnsembleConfig};
+    use crate::protocol::StepRewards;
 
     #[test]
     fn deterministic_proportional_split() {

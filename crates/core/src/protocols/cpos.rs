@@ -7,8 +7,8 @@
 //! (Theorem 4.10) — the inflation reward and the sharding both shrink the
 //! proposer-lottery variance.
 
-use super::{assert_positive_reward, total_stake};
-use crate::protocol::{IncentiveProtocol, StepOutcome, StepRewards};
+use super::assert_positive_reward;
+use crate::protocol::{IncentiveProtocol, StepOutcome};
 use fairness_stats::dist::Multinomial;
 use fairness_stats::rng::Xoshiro256StarStar;
 
@@ -86,13 +86,6 @@ impl IncentiveProtocol for CPos {
         ]
     }
 
-    fn step(&self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let _ = total_stake(stakes);
-        let mut out = StepOutcome::new();
-        self.step_into(stakes, step, rng, &mut out);
-        out.to_rewards()
-    }
-
     /// One epoch without a single heap allocation: share probabilities,
     /// multinomial scratch and trial counts all borrow the outcome's
     /// pooled buffers, and the trial loop is
@@ -138,6 +131,7 @@ impl IncentiveProtocol for CPos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::StepRewards;
 
     #[test]
     fn split_sums_to_step_reward() {

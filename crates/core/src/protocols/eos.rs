@@ -7,8 +7,8 @@
 //! fairness holds in general (small delegates are over-paid relative to
 //! their stake, large ones under-paid).
 
-use super::{assert_positive_reward, total_stake};
-use crate::protocol::{IncentiveProtocol, StepOutcome, StepRewards};
+use super::assert_positive_reward;
+use crate::protocol::{IncentiveProtocol, StepOutcome};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// EOS-style delegated PoS: equal proposer pay plus proportional inflation.
@@ -52,17 +52,6 @@ impl IncentiveProtocol for Eos {
         vec![self.proposer_reward, self.inflation_reward]
     }
 
-    fn step(&self, stakes: &[f64], _step: u64, _rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let total = total_stake(stakes);
-        let m = stakes.len() as f64;
-        StepRewards::Split(
-            stakes
-                .iter()
-                .map(|&s| self.proposer_reward / m + self.inflation_reward * s / total)
-                .collect(),
-        )
-    }
-
     fn step_into(
         &self,
         stakes: &[f64],
@@ -84,6 +73,7 @@ impl IncentiveProtocol for Eos {
 mod tests {
     use super::*;
     use crate::montecarlo::{run_ensemble, EnsembleConfig};
+    use crate::protocol::StepRewards;
 
     #[test]
     fn small_delegate_overpaid() {

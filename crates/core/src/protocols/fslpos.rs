@@ -6,8 +6,8 @@
 //! compounding reward still leaves robust fairness unmet (Figure 6a) unless
 //! combined with reward withholding (Figure 6b).
 
-use super::{assert_positive_reward, total_stake};
-use crate::protocol::{IncentiveProtocol, StepOutcome, StepRewards};
+use super::assert_positive_reward;
+use crate::protocol::{IncentiveProtocol, StepOutcome};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Fair single-lottery Proof-of-Stake.
@@ -49,11 +49,6 @@ impl IncentiveProtocol for FslPos {
         vec![self.reward]
     }
 
-    fn step(&self, stakes: &[f64], _step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let _ = total_stake(stakes);
-        StepRewards::Winner(Self::sample_winner(stakes, rng))
-    }
-
     fn step_into(
         &self,
         stakes: &[f64],
@@ -69,6 +64,7 @@ impl IncentiveProtocol for FslPos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::StepRewards;
 
     #[test]
     fn win_rate_proportional_to_stake() {

@@ -8,8 +8,8 @@
 //! `Beta(a/w, b/w)` — robustly fair only when `1/n + w ≤ 2a²ε²/ln(2/δ)`
 //! (Theorem 4.3).
 
-use super::{assert_positive_reward, total_stake};
-use crate::protocol::{IncentiveProtocol, StepOutcome, StepRewards};
+use super::assert_positive_reward;
+use crate::protocol::{IncentiveProtocol, StepOutcome};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Multi-lottery Proof-of-Stake.
@@ -44,13 +44,6 @@ impl IncentiveProtocol for MlPos {
         vec![self.reward]
     }
 
-    fn step(&self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let _ = total_stake(stakes);
-        let mut out = StepOutcome::new();
-        self.step_into(stakes, step, rng, &mut out);
-        out.to_rewards()
-    }
-
     /// The compounding hot path: the proposer draw goes through the
     /// outcome's incremental Fenwick sampler — O(log m) per block once
     /// the game loop feeds stake credits back via
@@ -72,6 +65,7 @@ impl IncentiveProtocol for MlPos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::StepRewards;
 
     #[test]
     fn win_rate_tracks_current_stakes() {

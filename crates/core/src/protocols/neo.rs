@@ -6,9 +6,8 @@
 //! proposer draws proportional to a fixed resource — both fairness notions
 //! hold for long games.
 
-use super::{assert_positive_reward, total_stake};
-use crate::miner::sample_categorical;
-use crate::protocol::{IncentiveProtocol, StepOutcome, StepRewards};
+use super::assert_positive_reward;
+use crate::protocol::{IncentiveProtocol, StepOutcome};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// NEO-style PoS with a non-compounding reward asset.
@@ -54,11 +53,6 @@ impl IncentiveProtocol for Neo {
         false
     }
 
-    fn step(&self, stakes: &[f64], _step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let _ = total_stake(stakes);
-        StepRewards::Winner(sample_categorical(&self.shares, rng))
-    }
-
     fn step_into(
         &self,
         stakes: &[f64],
@@ -76,6 +70,7 @@ impl IncentiveProtocol for Neo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::StepRewards;
 
     #[test]
     fn behaves_like_pow() {

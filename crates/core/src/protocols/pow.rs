@@ -6,9 +6,8 @@
 //! Hence the win count is `Bin(n, a)`: expectationally fair (Theorem 3.2)
 //! and robustly fair for `n ≥ ln(2/δ)/(2a²ε²)` (Theorem 4.2).
 
-use super::{assert_positive_reward, total_stake};
-use crate::miner::sample_categorical;
-use crate::protocol::{IncentiveProtocol, StepOutcome, StepRewards};
+use super::assert_positive_reward;
+use crate::protocol::{IncentiveProtocol, StepOutcome};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Proof-of-Work.
@@ -62,17 +61,6 @@ impl IncentiveProtocol for Pow {
         false
     }
 
-    fn step(&self, stakes: &[f64], _step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        // Stakes are ignored by design; validate shape anyway.
-        let _ = total_stake(stakes);
-        assert_eq!(
-            stakes.len(),
-            self.shares.len(),
-            "stake vector length must match miner count"
-        );
-        StepRewards::Winner(sample_categorical(&self.shares, rng))
-    }
-
     fn step_into(
         &self,
         stakes: &[f64],
@@ -91,6 +79,7 @@ impl IncentiveProtocol for Pow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::StepRewards;
 
     #[test]
     fn win_rate_matches_hash_power_not_stakes() {

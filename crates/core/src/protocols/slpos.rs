@@ -7,8 +7,8 @@
 //! expectationally unfair (Theorem 3.4) and monopolizes almost surely
 //! (Theorem 4.9).
 
-use super::{assert_positive_reward, total_stake};
-use crate::protocol::{IncentiveProtocol, StepOutcome, StepRewards};
+use super::assert_positive_reward;
+use crate::protocol::{IncentiveProtocol, StepOutcome};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Single-lottery Proof-of-Stake.
@@ -67,11 +67,6 @@ impl IncentiveProtocol for SlPos {
         vec![self.reward]
     }
 
-    fn step(&self, stakes: &[f64], _step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let _ = total_stake(stakes);
-        StepRewards::Winner(Self::sample_winner(stakes, rng))
-    }
-
     #[inline]
     fn step_into(
         &self,
@@ -92,6 +87,7 @@ impl IncentiveProtocol for SlPos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::StepRewards;
 
     #[test]
     fn two_miner_win_rate_is_half_share_ratio() {

@@ -39,7 +39,7 @@
 
 use crate::adversary::{ForkAction, ForkEvent, ForkState, Honest, Strategy};
 use crate::miner::normalize_shares;
-use crate::protocol::{protocol_tag, IncentiveProtocol, StepOutcome, StepRewards, StepRewardsView};
+use crate::protocol::{protocol_tag, IncentiveProtocol, StepOutcome, StepRewardsView};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Progressive cluster-tax fee redistribution.
@@ -117,15 +117,6 @@ impl<P: IncentiveProtocol> IncentiveProtocol for ClusterTax<P> {
         p.push(self.decay);
         p.extend(self.init.iter().copied());
         p
-    }
-
-    fn step(&self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        // One implementation of the tax logic: validate, then take the
-        // buffer-reuse path (the two can never drift apart).
-        let _ = crate::protocols::total_stake(stakes);
-        let mut out = StepOutcome::new();
-        self.step_into(stakes, step, rng, &mut out);
-        out.to_rewards()
     }
 
     fn step_into(
@@ -249,13 +240,6 @@ impl<P: IncentiveProtocol> IncentiveProtocol for FeeLottery<P> {
         p
     }
 
-    fn step(&self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let _ = crate::protocols::total_stake(stakes);
-        let mut out = StepOutcome::new();
-        self.step_into(stakes, step, rng, &mut out);
-        out.to_rewards()
-    }
-
     fn step_into(
         &self,
         stakes: &[f64],
@@ -351,13 +335,6 @@ impl<P: IncentiveProtocol> IncentiveProtocol for Alleviation<P> {
         p.extend(self.inner.params());
         p.push(self.beta);
         p
-    }
-
-    fn step(&self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let _ = crate::protocols::total_stake(stakes);
-        let mut out = StepOutcome::new();
-        self.step_into(stakes, step, rng, &mut out);
-        out.to_rewards()
     }
 
     fn step_into(
@@ -509,13 +486,6 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Sybil<P, S> {
         p
     }
 
-    fn step(&self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let _ = crate::protocols::total_stake(stakes);
-        let mut out = StepOutcome::new();
-        self.step_into(stakes, step, rng, &mut out);
-        out.to_rewards()
-    }
-
     fn step_into(
         &self,
         stakes: &[f64],
@@ -569,6 +539,7 @@ mod tests {
     use crate::game::MiningGame;
     use crate::miner::{equal_shares, zipf_shares};
     use crate::montecarlo::{run_ensemble, EnsembleConfig};
+    use crate::protocol::StepRewards;
     use crate::protocols::{Algorand, MlPos, SlPos};
 
     fn stakes_after<P: IncentiveProtocol>(protocol: P, shares: &[f64], seed: u64) -> Vec<f64> {

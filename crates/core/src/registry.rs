@@ -18,7 +18,7 @@ use crate::adversary::{
     Adversary, ForkAction, ForkEvent, ForkState, Honest, SelfishMining, StakeGrinding, Strategy,
 };
 use crate::mdp::{BestResponse, EquilibriumConfig, OptimalWithholding};
-use crate::protocol::{IncentiveProtocol, StepOutcome, StepRewards};
+use crate::protocol::{IncentiveProtocol, StepOutcome};
 use crate::protocols::{Algorand, CPos, Eos, FslPos, MlPos, Neo, Pow, SlPos};
 use crate::redistribution::{Alleviation, ClusterTax, FeeLottery, Sybil, SybilSplit};
 use crate::scenario::{ArgValue, ProtocolSpec};
@@ -132,10 +132,6 @@ impl IncentiveProtocol for BoxedProtocol {
 
     fn params(&self) -> Vec<f64> {
         self.inner.params()
-    }
-
-    fn step(&self, stakes: &[f64], step_index: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        self.inner.step(stakes, step_index, rng)
     }
 
     #[inline]

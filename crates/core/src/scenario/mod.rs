@@ -451,12 +451,12 @@ impl fmt::Display for Checkpoints {
 
 /// The longest hash-level cross-check a scenario may ask for, in blocks.
 ///
-/// A cross-check runs to completion once started (a job's cancellation is
-/// observed between scenarios), so without a cap one scenario could hold
-/// an executor for as long as its horizon asks. 10⁵ blocks is about 70×
-/// the figures' 1,500; one repetition at the cap took 1.3 s (SL-PoS) to
-/// 1.8 s (PoW) on a 2-vCPU container, about a minute at `--quick`'s 40
-/// repetitions on one worker.
+/// A job's cancellation is observed between a cross-check's repetitions,
+/// but each repetition runs to completion once started, so without a cap
+/// one scenario could hold an executor for as long as its horizon asks.
+/// 10⁵ blocks is about 70× the figures' 1,500; one repetition at the cap
+/// took 1.3 s (SL-PoS) to 1.8 s (PoW) on a 2-vCPU container, about a
+/// minute at `--quick`'s 40 repetitions on one worker.
 pub const MAX_SYSTEM_HORIZON: u64 = 100_000;
 
 /// An optional hash-level (`chain-sim`) cross-check attached to a

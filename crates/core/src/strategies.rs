@@ -16,7 +16,7 @@
 //!   why robust-fairness-preserving protocols remove the incentive to
 //!   pool.
 
-use crate::protocol::{protocol_tag, IncentiveProtocol, StepOutcome, StepRewards, StepRewardsView};
+use crate::protocol::{protocol_tag, IncentiveProtocol, StepOutcome, StepRewardsView};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Wraps a protocol so that a designated miner's rewards never compound
@@ -77,15 +77,6 @@ impl<P: IncentiveProtocol> IncentiveProtocol for CashOut<P> {
         p.push(self.miner as f64);
         p.push(self.frozen_stake);
         p
-    }
-
-    fn step(&self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        // One implementation of the step distribution: validate, then
-        // take the buffer-reuse path (the two can never drift apart).
-        let _ = crate::protocols::total_stake(stakes);
-        let mut out = StepOutcome::new();
-        self.step_into(stakes, step, rng, &mut out);
-        out.to_rewards()
     }
 
     fn step_into(
@@ -171,15 +162,6 @@ impl<P: IncentiveProtocol> IncentiveProtocol for MiningPool<P> {
         p
     }
 
-    fn step(&self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        // One implementation of the aggregation/fan-out logic: validate,
-        // then take the buffer-reuse path.
-        let _ = crate::protocols::total_stake(stakes);
-        let mut out = StepOutcome::new();
-        self.step_into(stakes, step, rng, &mut out);
-        out.to_rewards()
-    }
-
     fn step_into(
         &self,
         stakes: &[f64],
@@ -251,6 +233,7 @@ mod tests {
     use crate::game::MiningGame;
     use crate::miner::two_miner;
     use crate::montecarlo::{run_ensemble, EnsembleConfig};
+    use crate::protocol::StepRewards;
     use crate::protocols::{MlPos, Pow, SlPos};
 
     #[test]

@@ -250,9 +250,11 @@ proptest! {
         shares in prop::collection::vec(0.05f64..1.0, 2..6),
         seed in any::<u64>(),
     ) {
-        // The buffer-reuse stepping API must draw the same allocation
-        // from the same RNG stream as the allocating `step` — for every
-        // base protocol, including across steps as stakes compound.
+        // `step` runs `step_into` on a fresh outcome; a game reuses one.
+        // Both must draw the same allocation from the same RNG stream —
+        // for every base protocol, including across steps as stakes
+        // compound and the reused outcome's incremental sampler and
+        // scratch pools carry over.
         let total: f64 = shares.iter().sum();
         let stakes: Vec<f64> = shares.iter().map(|s| s / total).collect();
         let protocols: Vec<Box<dyn IncentiveProtocol>> = vec![
@@ -264,8 +266,8 @@ proptest! {
             Box::new(Neo::new(&stakes, 0.01)),
             Box::new(Algorand::new(0.1)),
             Box::new(Eos::new(0.01, 0.1)),
-            // Stateless adapters ride the same check, so their `step` and
-            // `step_into` can never drift apart either.
+            // Stateless adapters ride the same check: their scratch
+            // vectors come from the reused outcome's pools.
             Box::new(CashOut::new(MlPos::new(0.01), 0, stakes[0])),
             Box::new(MiningPool::new(MlPos::new(0.01), vec![0, 1])),
             Box::new(MiningPool::new(CPos::new(0.01, 0.1, 8), vec![0, 1])),
@@ -299,9 +301,10 @@ proptest! {
         a in 0.05f64..0.45,
         seed in any::<u64>(),
     ) {
-        // The adversary adapter is stateful (interior fork machine), so
-        // the two paths are compared on independent clones driven by
-        // identical RNG streams.
+        // The adversary adapter is stateful (interior fork machine and
+        // its own reused outcome), so a fresh outcome per step (`step`)
+        // and one reused outcome (`step_into`) are compared on
+        // independent adapters driven by identical RNG streams.
         let shares = two_miner(a);
         let via_step = {
             let adapter = Adversary::new(SlPos::new(0.01), SelfishMining::new(0.5));

@@ -135,28 +135,72 @@ fn slpos_monopolizes_per_theorem_4_9() {
 #[test]
 fn lemma_6_1_matches_multi_miner_simulation() {
     // Multi-miner SL-PoS first-block win probabilities against the exact
-    // polynomial integral.
-    let stakes = paper_multi_miner(10, 0.2);
-    let exact = theory::slpos::win_probabilities(&stakes);
+    // polynomial integral, drawn three ways: the protocol's sampler,
+    // `MiningGame::run` (the m ≥ 3 race kernel) and `MiningGame::run_batch`
+    // over groups of eight games (the lane kernel on AVX-512F+DQ hosts).
+    use blockchain_fairness::core::game::LANES;
+    use blockchain_fairness::stats::mc::{run_monte_carlo, run_monte_carlo_chunks, McConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     let reps = 30_000;
-    let winners = blockchain_fairness::stats::mc::run_monte_carlo(
-        blockchain_fairness::stats::mc::McConfig::new(reps, 31),
-        |_i, rng| SlPos::sample_winner(&stakes, rng),
-    );
-    let mut counts = vec![0u64; stakes.len()];
-    for w in winners {
-        counts[w] += 1;
-    }
-    for (i, &e) in exact.iter().enumerate() {
-        let emp = counts[i] as f64 / reps as f64;
-        let se = (e * (1.0 - e) / reps as f64).sqrt();
+    for m in [3, 10] {
+        let stakes = paper_multi_miner(m, 0.2);
+        let exact = theory::slpos::win_probabilities(&stakes);
+        let new_game = || MiningGame::new(SlPos::new(0.01), &stakes);
+        let first_winner = |game: &MiningGame<SlPos>| {
+            (0..m)
+                .find(|&i| game.earned(i) > 0.0)
+                .expect("one miner won the block")
+        };
+        let sampled = run_monte_carlo(McConfig::new(reps, 31), |_i, rng| {
+            SlPos::sample_winner(&stakes, rng)
+        });
+        let raced = run_monte_carlo(McConfig::new(reps, 32), |_i, rng| {
+            let mut game = new_game();
+            game.run(1, rng);
+            first_winner(&game)
+        });
+        let in_lanes = AtomicUsize::new(0);
+        let laned = run_monte_carlo_chunks(
+            McConfig::new(reps, 33),
+            LANES,
+            |_first, rngs| {
+                let mut games = vec![new_game(); rngs.len()];
+                let stepped = MiningGame::run_batch(&mut games, 1, rngs);
+                in_lanes.fetch_add(stepped, Ordering::Relaxed);
+                games.iter().map(first_winner).collect::<Vec<_>>()
+            },
+            |_| false,
+        );
+        if new_game().batch_width() == LANES {
+            // Full groups of eight: every game stepped in the lane kernel.
+            assert_eq!(in_lanes.into_inner(), reps, "m={m}");
+        }
+        for (path, winners) in [("sampler", sampled), ("run", raced), ("run_batch", laned)] {
+            let mut counts = vec![0u64; m];
+            for w in winners {
+                counts[w] += 1;
+            }
+            for (i, &e) in exact.iter().enumerate() {
+                let emp = counts[i] as f64 / reps as f64;
+                let se = (e * (1.0 - e) / reps as f64).sqrt();
+                assert!(
+                    (emp - e).abs() < 5.0 * se + 0.002,
+                    "m={m}, {path}, miner {i}: empirical {emp} vs Lemma 6.1 {e}"
+                );
+            }
+        }
+        // The richest miner wins more than her share — the Table 1
+        // mechanism (miner A at m = 10, the two others at m = 3).
+        let total: f64 = stakes.iter().sum();
+        let richest = (0..m)
+            .max_by(|&i, &j| stakes[i].total_cmp(&stakes[j]))
+            .expect("miners");
         assert!(
-            (emp - e).abs() < 5.0 * se + 0.002,
-            "miner {i}: empirical {emp} vs Lemma 6.1 {e}"
+            exact[richest] > stakes[richest] / total,
+            "m={m}: richest miner's advantage {}",
+            exact[richest]
         );
     }
-    // Miner A (largest) wins more than her share — the Table 1 mechanism.
-    assert!(exact[0] > 0.2, "largest miner advantage: {}", exact[0]);
 }
 
 #[test]
