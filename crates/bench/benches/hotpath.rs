@@ -1,6 +1,7 @@
 //! Criterion benchmarks: the simulation hot paths this workspace's
-//! wall-clock lives in — per-step game stepping for every base protocol,
-//! bare SL-PoS repetitions stepped eight at a time in vector lanes,
+//! wall-clock lives in — per-step game stepping for every base protocol
+//! and for the adversary adapters over PoW and SL-PoS, bare SL-PoS
+//! repetitions stepped eight at a time in vector lanes,
 //! weighted sampling (Fenwick vs linear scan), sha256 nonce grinding
 //! (full rebuild, midstate, and midstate pairs), and the hash-level
 //! overlay's blocks.
@@ -65,6 +66,43 @@ fn bench_steps(c: &mut Criterion) {
     let boxed: BoxedProtocol =
         construct(&ProtocolSpec::new("sl-pos").with("w", 0.01), &two).expect("constructs");
     bench_game(c, "sl-pos-boxed", boxed, &two);
+    bench_adversaries(c);
+}
+
+/// Registry-built `adversary(inner, strategy)` adapters at two miners,
+/// the path `repro` and the daemon take, beside `step/pow/2` for the bare
+/// protocol the PoW rows wrap.
+fn bench_adversaries(c: &mut Criterion) {
+    let shares = two_miner(0.3);
+    let pow = || ProtocolSpec::new("pow").with("w", 0.01);
+    bench_game(c, "pow", Pow::new(&shares, 0.01), &shares);
+    for (name, inner, strategy) in [
+        ("adversary-honest", pow(), ProtocolSpec::new("honest")),
+        (
+            "adversary-selfish",
+            pow(),
+            ProtocolSpec::new("selfish-mining").with("gamma", 0.5),
+        ),
+        (
+            "adversary-owd",
+            pow(),
+            ProtocolSpec::new("optimal-withholding")
+                .with("alpha", 0.3)
+                .with("gamma", 0.5)
+                .with("depth", 16.0),
+        ),
+        (
+            "adversary-grinding",
+            ProtocolSpec::new("sl-pos").with("w", 0.01),
+            ProtocolSpec::new("stake-grinding").with("tries", 4.0),
+        ),
+    ] {
+        let spec = ProtocolSpec::new("adversary")
+            .with("inner", inner)
+            .with("strategy", strategy);
+        let adapter: BoxedProtocol = construct(&spec, &shares).expect("constructs");
+        bench_game(c, name, adapter, &shares);
+    }
 }
 
 /// Steps [`LANES`] bare SL-PoS games 64 steps each per bench iteration
@@ -105,7 +143,7 @@ fn bench_layers(c: &mut Criterion) {
     let mut st3 = [0.2f64, 0.8];
     let mut earned3 = [0.0f64, 0.0];
     let mut out3 = fairness_core::protocol::StepOutcome::new();
-    let sl = SlPos::new(0.01);
+    let mut sl = SlPos::new(0.01);
     group.bench_function("step_into_plus_apply_x64", |b| {
         use fairness_core::protocol::{IncentiveProtocol, StepRewardsView};
         b.iter(|| {

@@ -14,7 +14,7 @@ use fairness_core::protocol::StepOutcome;
 fn bench_step<P: IncentiveProtocol>(
     group: &mut BenchmarkGroup<'_>,
     name: &str,
-    protocol: P,
+    mut protocol: P,
     stakes: &[f64],
     rng: &mut Xoshiro256StarStar,
 ) {

@@ -16,9 +16,10 @@
 //! experiments selected.
 
 use super::diskcache;
+use crate::runner::ScenarioError;
 use fairness_core::fairness::EpsilonDelta;
 use fairness_core::montecarlo::{
-    run_ensemble, run_ensemble_settled, EnsembleConfig, EnsembleSummary,
+    run_ensemble_cancellable, run_ensemble_settled, EnsembleConfig, EnsembleSummary,
 };
 use fairness_core::protocol::IncentiveProtocol;
 use fairness_core::withholding::WithholdingSchedule;
@@ -194,6 +195,35 @@ impl SweepCache {
     where
         P: IncentiveProtocol + Clone,
     {
+        self.try_ensemble(
+            protocol,
+            shares,
+            checkpoints,
+            repetitions,
+            withholding,
+            || false,
+        )
+        .expect("an ensemble nobody cancels runs every repetition")
+    }
+
+    /// [`ensemble`](Self::ensemble) for a cancellable caller
+    /// ([`run_ensemble_cancellable`]): once `cancelled` returns `true`, no
+    /// further repetition starts and the lookup returns
+    /// [`ScenarioError::Cancelled`], memoizing and spilling nothing, so a
+    /// later lookup computes the ensemble afresh. A repetition that has
+    /// started runs to its end.
+    pub(crate) fn try_ensemble<P>(
+        &self,
+        protocol: &P,
+        shares: &[f64],
+        checkpoints: &[u64],
+        repetitions: usize,
+        withholding: Option<WithholdingSchedule>,
+        cancelled: impl Fn() -> bool + Sync,
+    ) -> Result<Arc<EnsembleSummary>, ScenarioError>
+    where
+        P: IncentiveProtocol + Clone,
+    {
         let key = EnsembleKey::new(
             protocol,
             shares,
@@ -208,7 +238,10 @@ impl SweepCache {
             checkpoints,
             repetitions,
             withholding,
-            |config| run_ensemble(protocol, config),
+            |config| {
+                run_ensemble_cancellable(protocol, config, cancelled)
+                    .ok_or(ScenarioError::Cancelled)
+            },
         )
     }
 
@@ -242,25 +275,27 @@ impl SweepCache {
             None,
         )
         .settled();
-        self.lookup(key, shares, checkpoints, repetitions, None, |config| {
-            run_ensemble_settled(protocol, config)
-        })
+        let Ok(summary) = self.lookup(key, shares, checkpoints, repetitions, None, |config| {
+            Ok::<_, std::convert::Infallible>(run_ensemble_settled(protocol, config))
+        });
+        summary
     }
 
     /// The memoized, spilled lookup behind [`ensemble`](Self::ensemble)
-    /// and [`settled_probe`](Self::settled_probe).
-    fn lookup(
+    /// and [`settled_probe`](Self::settled_probe). An error from `compute`
+    /// is returned as is and leaves no memo entry and no spill.
+    fn lookup<E>(
         &self,
         key: EnsembleKey,
         shares: &[f64],
         checkpoints: &[u64],
         repetitions: usize,
         withholding: Option<WithholdingSchedule>,
-        compute: impl FnOnce(&EnsembleConfig) -> EnsembleSummary,
-    ) -> Arc<EnsembleSummary> {
+        compute: impl FnOnce(&EnsembleConfig) -> Result<EnsembleSummary, E>,
+    ) -> Result<Arc<EnsembleSummary>, E> {
         let seed = key.seed(self.master_seed);
         let digest = key.disk_digest(self.master_seed);
-        self.inner.get_or_insert_with(&key, || {
+        self.inner.try_get_or_insert_with(&key, || {
             // Shape guard against the astronomically unlikely digest
             // collision (and the merely unlikely hand-edited file): a
             // mismatched spill is treated as corrupt. A settled probe
@@ -279,7 +314,7 @@ impl SweepCache {
                         .zip(checkpoints)
                         .all(|(p, &n)| p.n == n)
             };
-            Arc::new(self.system_summary(digest, fits, || {
+            self.try_system_summary(digest, fits, || {
                 compute(&EnsembleConfig {
                     initial_shares: shares.to_vec(),
                     checkpoints: checkpoints.to_vec(),
@@ -288,7 +323,8 @@ impl SweepCache {
                     eps_delta: self.eps_delta,
                     withholding,
                 })
-            }))
+            })
+            .map(Arc::new)
         })
     }
 

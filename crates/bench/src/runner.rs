@@ -365,21 +365,25 @@ pub fn run_scenarios(
     let unsent: Mutex<(usize, Vec<Option<ProgressEvent>>)> =
         Mutex::new((0, vec![None; resolved.len()]));
     let outcomes = ctx.pool.par_map(resolved.len(), |i| {
-        // Cancellation is observed between scenarios and between a
-        // cross-check's repetitions, never mid-ensemble: a finished point
-        // is always a valid cache entry, and a cancelled cross-check
-        // leaves none.
+        // Cancellation is observed between scenarios and between the
+        // repetitions of an ensemble or a cross-check, never inside one
+        // repetition: a finished point is always a valid cache entry, and
+        // a cancelled ensemble or cross-check leaves none.
         if ctx.is_cancelled() {
             return None;
         }
         let r = &resolved[i];
-        let summary = ctx.cache.ensemble(
-            &r.protocol,
-            &r.shares,
-            &r.checkpoints,
-            r.repetitions,
-            r.withholding,
-        );
+        let summary = ctx
+            .cache
+            .try_ensemble(
+                &r.protocol,
+                &r.shares,
+                &r.checkpoints,
+                r.repetitions,
+                r.withholding,
+                || ctx.is_cancelled(),
+            )
+            .ok()?;
         let system = match (ctx.opts.with_system, r.system) {
             (true, Some((kind, horizon, salt))) => {
                 Some(run_system(ctx, r, kind, horizon, salt).ok()?)

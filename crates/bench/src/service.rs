@@ -1168,6 +1168,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&svc.opts().results_dir);
     }
 
+    /// A cancel that lands inside a closed-form ensemble ends the job once
+    /// the repetitions in flight finish, not after the whole ensemble, and
+    /// leaves the ensemble neither memoized nor spilled.
+    #[test]
+    fn cancel_lands_inside_a_running_ensemble() {
+        let mut opts = tiny_opts("svc-cancel-ensemble");
+        opts.disk_cache = true;
+        let cache_dir = opts.results_dir.join(".cache");
+        let _ = std::fs::remove_dir_all(&opts.results_dir);
+        let svc = Arc::new(SweepService::new(opts));
+        // 10⁴ repetitions of 10⁶ blocks: about 10¹⁰ steps, hours of work.
+        let long = ScenarioSpec::builder("long", ProtocolSpec::new("ml-pos").with("w", 0.01))
+            .two_miner(0.2)
+            .linear(1_000_000, 5)
+            .repetitions(10_000)
+            .build();
+        let (job, _) = svc.submit(vec![long]).expect("submit");
+        // Detached, so that an ensemble that ignores the cancel fails the
+        // deadline below instead of holding the test until it finishes.
+        let worker = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || svc.execute(&svc.next_job().expect("job")))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while svc.cache().misses() == 0 {
+            assert!(Instant::now() < deadline, "the ensemble never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(svc.cancel(job.fingerprint()));
+        let mut cursor = 0;
+        loop {
+            let (_, after, done) = job.wait_events(cursor, Duration::from_millis(100));
+            if done {
+                break;
+            }
+            cursor = after;
+            assert!(Instant::now() < deadline, "the ensemble ran on");
+        }
+        worker.join().expect("executor");
+        assert_eq!(job.phase(), JobPhase::Cancelled);
+        let (events, _, _) = job.events_since(0);
+        assert_eq!(events.last(), Some(&ProgressEvent::Cancelled));
+        assert!(
+            svc.cache().is_empty(),
+            "a cancelled ensemble is not memoized"
+        );
+        let spilled = crate::experiments::diskcache::scan(&cache_dir).expect("scan");
+        assert_eq!(spilled.entries, 0, "a cancelled ensemble is not spilled");
+        let _ = std::fs::remove_dir_all(&svc.opts().results_dir);
+    }
+
     #[test]
     fn failed_jobs_carry_the_error_code() {
         let svc = service("svc-fail");

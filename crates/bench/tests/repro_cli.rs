@@ -131,3 +131,28 @@ fn oversized_system_horizon_exits_1_with_the_message() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An adversary over a split-reward protocol exits 1 with the registry's
+/// message, where it used to panic on the first step of the first game.
+#[test]
+fn split_reward_adversary_inner_exits_1_with_the_message() {
+    let dir = std::env::temp_dir().join("fairness-bench-repro-split-inner");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = run_scenario(
+        &dir,
+        "split.scn",
+        "scenario \"split\" {\n\
+         \x20 protocol = adversary(inner = c-pos(w = 0.01, v = 0.1, shards = 1), strategy = honest)\n\
+         \x20 shares = [0.3, 0.7]\n\
+         \x20 checkpoints = linear(100, 5)\n\
+         }\n",
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("`adversary` parameter `inner`: `c-pos` splits step rewards"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

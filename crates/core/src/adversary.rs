@@ -25,7 +25,6 @@
 use crate::protocol::{protocol_tag, IncentiveProtocol, StepOutcome, StepRewardsView};
 use fairness_stats::rng::Xoshiro256StarStar;
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// What a strategic miner just observed (the triggering block is already
 /// recorded in the [`ForkState`] handed alongside).
@@ -246,7 +245,7 @@ impl Strategy for StakeGrinding {
 /// both branches, applies a strategy's actions, and emits settled
 /// main-chain block owners in chain order (orphaned blocks are never
 /// emitted — exactly the Eyal–Sirer revenue convention).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ForkMachine {
     attacker: usize,
     private: u64,
@@ -335,6 +334,56 @@ impl ForkMachine {
         } else {
             self.public_owners.push(winner);
             self.apply(strategy.decide(self.state(), ForkEvent::PublicBlock));
+        }
+    }
+
+    /// [`on_block`](Self::on_block), then [`pop_settled`](Self::pop_settled).
+    ///
+    /// When no fork is open and no settled block is waiting, a block
+    /// that the strategy publishes (her own) or adopts (an honest one)
+    /// settles straight to the caller: it never enters the queue. Every
+    /// other case takes `on_block`'s path.
+    pub fn on_block_pop<S: Strategy + ?Sized>(
+        &mut self,
+        strategy: &S,
+        winner: usize,
+        on_private: bool,
+    ) -> Option<usize> {
+        if self.private > 0 || !self.public_owners.is_empty() || !self.settled.is_empty() {
+            self.on_block(strategy, winner, on_private);
+            return self.pop_settled();
+        }
+        debug_assert!(!self.published, "a published race needs a private branch");
+        if winner == self.attacker {
+            self.private = 1;
+            match strategy.decide(self.state(), ForkEvent::SelfBlock) {
+                // One private block against none: the network takes it.
+                ForkAction::Publish => {
+                    self.reset(true);
+                    Some(winner)
+                }
+                action => {
+                    self.apply(action);
+                    self.pop_settled()
+                }
+            }
+        } else {
+            let state = ForkState {
+                private: 0,
+                public: 1,
+                published: false,
+            };
+            match strategy.decide(state, ForkEvent::PublicBlock) {
+                // Publishing nothing against one honest block adopts it.
+                ForkAction::Adopt | ForkAction::Publish => {
+                    self.reset(false);
+                    Some(winner)
+                }
+                ForkAction::ExtendPrivate => {
+                    self.public_owners.push(winner);
+                    None
+                }
+            }
         }
     }
 
@@ -478,6 +527,11 @@ pub fn run_fork_game<S: Strategy + ?Sized>(
 /// attacker controls her tip), the [`ForkMachine`] applies the strategy,
 /// and settled owners are paid out oldest-first.
 ///
+/// The fork machine and the outcome the inner protocol draws into are
+/// plain fields: per-game state, owned by the game that owns the adapter
+/// (see [`IncentiveProtocol`]'s per-game state). A new adapter starts
+/// unforked, and a clone continues from the original's fork state.
+///
 /// Because the adapter is a plain [`IncentiveProtocol`], adversarial
 /// configurations flow through `run_ensemble` and the content-addressed
 /// sweep cache unchanged. Two caveats, both documented invariants of the
@@ -486,33 +540,37 @@ pub fn run_fork_game<S: Strategy + ?Sized>(
 /// burst settles several blocks at the stake vector current when each
 /// settles (exact for non-compounding PoW, the selfish-mining target; the
 /// grinding strategies never burst).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Adversary<P, S> {
     inner: P,
     strategy: S,
-    machine: Mutex<AdversaryScratch>,
-}
-
-/// Interior per-game state of an [`Adversary`]: the fork machine plus a
-/// reusable outcome the wrapped protocol's draws land in, so adversarial
-/// stepping allocates nothing in steady state either.
-#[derive(Debug)]
-struct AdversaryScratch {
     machine: ForkMachine,
+    /// Where the inner protocol's draws land, reused across steps so
+    /// adversarial stepping allocates nothing in steady state either.
     inner_out: StepOutcome,
+    /// [`IncentiveProtocol::rewards_compound`] of the inner protocol,
+    /// cached at construction: whether the stakes can change between
+    /// steps, so that `inner_out`'s sampler must be rebuilt.
+    inner_compounds: bool,
+    /// [`Strategy::grinding_tries`] and [`Strategy::gamma`], cached
+    /// likewise (a boxed strategy would pay a virtual call for each).
+    tries: u32,
+    gamma: f64,
 }
 
 impl<P: IncentiveProtocol, S: Strategy> Adversary<P, S> {
-    /// Wraps `inner` with miner 0 playing `strategy`.
+    /// Wraps `inner` with miner 0 playing `strategy`, from an unforked
+    /// chain.
     #[must_use]
     pub fn new(inner: P, strategy: S) -> Self {
         Self {
+            machine: ForkMachine::new(0),
+            inner_out: StepOutcome::new(),
+            inner_compounds: inner.rewards_compound(),
+            tries: strategy.grinding_tries(),
+            gamma: strategy.gamma(),
             inner,
             strategy,
-            machine: Mutex::new(AdversaryScratch {
-                machine: ForkMachine::new(0),
-                inner_out: StepOutcome::new(),
-            }),
         }
     }
 
@@ -527,22 +585,18 @@ impl<P: IncentiveProtocol, S: Strategy> Adversary<P, S> {
     pub fn strategy(&self) -> &S {
         &self.strategy
     }
-}
 
-impl<P: IncentiveProtocol + Clone, S: Strategy + Clone> Clone for Adversary<P, S> {
-    /// Clones configuration with a *fresh* fork state — ensembles clone
-    /// the protocol once per repetition, so every game starts unforked.
-    fn clone(&self) -> Self {
-        Self::new(self.inner.clone(), self.strategy.clone())
-    }
-}
-
-fn single_winner(rewards: StepRewardsView<'_>, protocol: &str) -> usize {
-    match rewards {
-        StepRewardsView::Winner(w) => w,
-        StepRewardsView::Split(_) => panic!(
-            "adversarial strategies need a single-winner protocol; {protocol} splits rewards"
-        ),
+    /// One block-discovery event: the inner lottery's winner.
+    #[inline]
+    fn draw(&mut self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> usize {
+        self.inner.step_into(stakes, step, rng, &mut self.inner_out);
+        match self.inner_out.view() {
+            StepRewardsView::Winner(w) => w,
+            StepRewardsView::Split(_) => panic!(
+                "adversarial strategies need a single-winner protocol; {} splits rewards",
+                self.inner.name()
+            ),
+        }
     }
 }
 
@@ -571,21 +625,26 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Adversary<P, S> {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         step: u64,
         rng: &mut Xoshiro256StarStar,
         out: &mut StepOutcome,
     ) {
-        let mut guard = self.machine.lock().expect("adversary fork state lock");
-        let state = &mut *guard;
-        // The stake vector may have changed since the previous settled
-        // block (the game credits rewards between steps); a live sampler
-        // in the interior scratch would be stale. Within this step the
-        // stakes are fixed, so grinding redraws still reuse the rebuild.
-        state.inner_out.invalidate_weights();
+        // The game credits rewards between steps without reporting them
+        // to the inner outcome, so a compounding inner protocol's sampler
+        // would be stale. A non-compounding one keeps its sampler warm:
+        // its stakes never change (PoW and NEO even draw over their own
+        // fixed shares). Within this step the stakes are fixed, so
+        // grinding redraws reuse one rebuild either way.
+        if self.inner_compounds {
+            self.inner_out.invalidate_weights();
+        }
+        if let Some(owner) = self.machine.pop_settled() {
+            return out.set_winner(owner);
+        }
         let mut safety = 0u32;
-        while state.machine.settled_len() == 0 {
+        loop {
             safety += 1;
             assert!(
                 safety < 1_000_000,
@@ -595,36 +654,31 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Adversary<P, S> {
             // lottery up to `tries` times and keeps the first winning draw
             // (falling back to the last). `tries = 1` draws exactly once,
             // making the adapter bit-identical to the honest stream.
-            let tries = if state.machine.attacker_controls_tip() {
-                self.strategy.grinding_tries()
+            let tries = if self.machine.attacker_controls_tip() {
+                self.tries
             } else {
                 1
             };
-            self.inner
-                .step_into(stakes, step, rng, &mut state.inner_out);
-            let mut winner = single_winner(state.inner_out.view(), self.inner.name());
+            let mut winner = self.draw(stakes, step, rng);
             let mut attempt = 1;
             while winner != 0 && attempt < tries {
-                self.inner
-                    .step_into(stakes, step, rng, &mut state.inner_out);
-                winner = single_winner(state.inner_out.view(), self.inner.name());
+                winner = self.draw(stakes, step, rng);
                 attempt += 1;
             }
             let on_private = if winner == 0 {
                 true
-            } else if state.machine.tie_race() {
-                rng.next_f64() < self.strategy.gamma()
+            } else if self.machine.tie_race() {
+                rng.next_f64() < self.gamma
             } else {
                 false
             };
-            state.machine.on_block(&self.strategy, winner, on_private);
-        }
-        out.set_winner(
-            state
+            if let Some(owner) = self
                 .machine
-                .pop_settled()
-                .expect("settled queue non-empty"),
-        );
+                .on_block_pop(&self.strategy, winner, on_private)
+            {
+                return out.set_winner(owner);
+            }
+        }
     }
 }
 
@@ -686,6 +740,72 @@ mod tests {
         let s = SelfishMining::new(0.0);
         let events = [(0, true), (0, true), (0, true), (1, false), (1, false)];
         assert_eq!(replay(&s, &events), vec![0, 0, 0]);
+    }
+
+    /// A pure strategy that answers every (state, event) with an action
+    /// picked by a salted hash of it: over salts 0, 1 and 2 it takes every
+    /// branch of the machine, the idle ones included.
+    struct Erratic(u64);
+
+    impl Strategy for Erratic {
+        fn name(&self) -> &'static str {
+            "erratic"
+        }
+
+        fn decide(&self, state: ForkState, event: ForkEvent) -> ForkAction {
+            let e = u64::from(event == ForkEvent::PublicBlock);
+            let h = state.private * 7 + state.public * 3 + u64::from(state.published) * 5 + e * 11;
+            [
+                ForkAction::ExtendPrivate,
+                ForkAction::Publish,
+                ForkAction::Adopt,
+            ][((h + self.0) % 3) as usize]
+        }
+
+        fn params(&self) -> Vec<f64> {
+            vec![self.0 as f64]
+        }
+    }
+
+    #[test]
+    fn on_block_pop_settles_like_on_block_then_pop() {
+        // The idle fast path must hand out the same owners, in the same
+        // order, as queueing every settled block.
+        let strategies: [&dyn Strategy; 7] = [
+            &Honest,
+            &SelfishMining::new(0.0),
+            &SelfishMining::new(0.5),
+            &StakeGrinding::new(4),
+            &Erratic(0),
+            &Erratic(1),
+            &Erratic(2),
+        ];
+        for strategy in strategies {
+            let mut rng = Xoshiro256StarStar::new(5);
+            let (mut queued, mut direct) = (ForkMachine::new(0), ForkMachine::new(0));
+            for _ in 0..20_000 {
+                let winner = usize::from(rng.next_f64() >= 0.4);
+                let on_private = rng.next_f64() < 0.5;
+                queued.on_block(strategy, winner, on_private);
+                assert_eq!(
+                    direct.on_block_pop(strategy, winner, on_private),
+                    queued.pop_settled(),
+                    "{}",
+                    strategy.name()
+                );
+                // Pay out any rest of a burst, as the adapter's next
+                // steps do.
+                while let Some(owner) = queued.pop_settled() {
+                    assert_eq!(direct.pop_settled(), Some(owner));
+                }
+                assert_eq!(direct.pop_settled(), None);
+                assert_eq!(direct.state(), queued.state());
+                assert_eq!(
+                    direct.attacker_controls_tip(),
+                    queued.attacker_controls_tip()
+                );
+            }
+        }
     }
 
     #[test]
@@ -778,7 +898,7 @@ mod tests {
         let stakes = vec![a, 1.0 - a];
         let p = crate::theory::slpos::win_probability_two_miner(a);
         for tries in [2u32, 4, 8] {
-            let adapter = Adversary::new(SlPos::new(0.01), StakeGrinding::new(tries));
+            let mut adapter = Adversary::new(SlPos::new(0.01), StakeGrinding::new(tries));
             let mut rng = Xoshiro256StarStar::new(41 + u64::from(tries));
             let n = 200_000u64;
             let mut wins = 0u64;
@@ -824,23 +944,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "single-winner protocol")]
     fn adversary_rejects_split_protocols() {
-        let adapter = Adversary::new(CPos::new(0.01, 0.1, 1), Honest);
+        let mut adapter = Adversary::new(CPos::new(0.01, 0.1, 1), Honest);
         let mut rng = Xoshiro256StarStar::new(1);
         let _ = adapter.step(&[0.2, 0.8], 0, &mut rng);
     }
 
     #[test]
-    fn clone_resets_fork_state() {
-        let adapter = Adversary::new(Pow::new(&[0.4, 0.6], 0.01), SelfishMining::new(0.0));
+    fn game_cloned_mid_fork_continues_like_the_original() {
+        // The fork machine is per-game state. A step returns as soon as
+        // one block settles, so after a withholding burst the machine
+        // still holds settled blocks that later steps pay out. A clone
+        // taken then must carry them on, and step on bit-identically to
+        // the original.
+        let adapter = Adversary::new(Pow::new(&[0.4, 0.6], 0.01), SelfishMining::new(0.5));
+        let mut game = crate::game::MiningGame::new(adapter, &[0.4, 0.6]);
         let mut rng = Xoshiro256StarStar::new(7);
-        // Advance the original's fork state.
-        for i in 0..50 {
-            let _ = adapter.step(&[0.4, 0.6], i, &mut rng);
+        while game.protocol().machine.settled_len() == 0 {
+            game.step(&mut rng);
+            assert!(game.steps() < 10_000, "no withholding burst");
         }
-        let fresh = adapter.clone();
-        let m = fresh.machine.lock().expect("lock");
-        assert_eq!(m.machine.state().private, 0);
-        assert_eq!(m.machine.settled_len(), 0);
+        let mut clone = game.clone();
+        let mut clone_rng = rng.clone();
+        assert_eq!(
+            clone.protocol().machine.settled,
+            game.protocol().machine.settled
+        );
+        game.run(2_000, &mut rng);
+        clone.run(2_000, &mut clone_rng);
+        let bits = |g: &crate::game::MiningGame<_>| -> Vec<u64> {
+            g.earned_column().iter().map(|e| e.to_bits()).collect()
+        };
+        assert_eq!(clone.steps(), game.steps());
+        assert_eq!(bits(&clone), bits(&game));
+        assert_eq!(clone_rng, rng);
     }
 
     #[test]

@@ -641,7 +641,13 @@ mod tests {
             Vec::new()
         }
 
-        fn step_into(&self, _: &[f64], _: u64, _: &mut Xoshiro256StarStar, out: &mut StepOutcome) {
+        fn step_into(
+            &mut self,
+            _: &[f64],
+            _: u64,
+            _: &mut Xoshiro256StarStar,
+            out: &mut StepOutcome,
+        ) {
             // Sums to exactly 0.01 — only the entry-wise check catches it.
             out.split_slots(2).copy_from_slice(&[1.01, -1.0]);
         }
@@ -674,7 +680,13 @@ mod tests {
             Vec::new()
         }
 
-        fn step_into(&self, _: &[f64], _: u64, _: &mut Xoshiro256StarStar, out: &mut StepOutcome) {
+        fn step_into(
+            &mut self,
+            _: &[f64],
+            _: u64,
+            _: &mut Xoshiro256StarStar,
+            out: &mut StepOutcome,
+        ) {
             out.split_slots(2).copy_from_slice(&[0.004, 0.004]);
         }
     }

@@ -106,9 +106,10 @@ impl EnsembleConfig {
 /// Runs the ensemble: `repetitions` independent games of `protocol`,
 /// summarized per checkpoint.
 ///
-/// The protocol is cloned per repetition; repetitions run in parallel with
-/// per-repetition deterministic seeds, so results are reproducible
-/// regardless of thread count.
+/// `protocol` is a template: each repetition's game steps its own clone,
+/// so every game starts from the template's state. Repetitions run in
+/// parallel with per-repetition deterministic seeds, so results are
+/// reproducible regardless of thread count.
 ///
 /// # Panics
 /// Panics on invalid configuration (no repetitions, bad checkpoints or
@@ -118,8 +119,30 @@ pub fn run_ensemble<P>(protocol: &P, config: &EnsembleConfig) -> EnsembleSummary
 where
     P: IncentiveProtocol + Clone,
 {
-    let trajectories = run_trajectories(protocol, config, |_| false);
-    summarize(&protocol.label(), config, &trajectories)
+    run_ensemble_cancellable(protocol, config, || false)
+        .expect("an ensemble nobody cancels runs every repetition")
+}
+
+/// [`run_ensemble`] that a caller can cancel: `cancelled` is read as each
+/// repetition finishes, and once it returns `true` no further repetition
+/// starts and the result is `None`. A repetition that has started runs to
+/// its end, so cancelling waits for the repetitions in flight. A summary,
+/// when returned, is [`run_ensemble`]'s, bit for bit.
+///
+/// # Panics
+/// Panics on invalid configuration, as [`run_ensemble`] does.
+#[must_use]
+pub fn run_ensemble_cancellable<P>(
+    protocol: &P,
+    config: &EnsembleConfig,
+    cancelled: impl Fn() -> bool + Sync,
+) -> Option<EnsembleSummary>
+where
+    P: IncentiveProtocol + Clone,
+{
+    let trajectories = run_trajectories(protocol, config, |_| cancelled());
+    (trajectories.len() == config.repetitions)
+        .then(|| summarize(&protocol.label(), config, &trajectories))
 }
 
 /// [`run_ensemble`] stopped at the first repetition prefix that settles
@@ -245,6 +268,27 @@ pub fn summarize(
 mod tests {
     use super::*;
     use crate::protocols::{CPos, MlPos, Pow, SlPos};
+
+    #[test]
+    fn cancelled_ensemble_stops_early_and_returns_nothing() {
+        let config = EnsembleConfig {
+            checkpoints: vec![100, 200],
+            ..EnsembleConfig::paper_default(0.2, 200, 40, 9)
+        };
+        let protocol = MlPos::new(0.01);
+        let full = run_ensemble(&protocol, &config);
+        assert_eq!(
+            run_ensemble_cancellable(&protocol, &config, || false),
+            Some(full)
+        );
+        let reads = std::sync::atomic::AtomicUsize::new(0);
+        let cancelled = run_ensemble_cancellable(&protocol, &config, || {
+            reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= 3
+        });
+        assert_eq!(cancelled, None);
+        let reads = reads.into_inner();
+        assert!(reads < 40, "{reads} repetitions were read after the cancel");
+    }
 
     #[test]
     fn pow_band_contracts_and_converges() {

@@ -58,6 +58,15 @@ enum OutcomeKind {
 /// must call [`invalidate_weights`](Self::invalidate_weights) first.
 /// Debug builds verify the stored weights against the slice on every
 /// reuse.
+///
+/// The game reports its stake credits only to the outcome it owns. An
+/// adapter that keeps a second outcome for its inner protocol's draws
+/// (the [`crate::adversary::Adversary`] fork machine does) is that
+/// outcome's caller: it must invalidate it whenever the stakes it passes
+/// may have changed since the previous draw — every step, when the
+/// inner protocol compounds — and may keep it warm when they cannot.
+/// PoW and NEO draw over their own fixed shares, so their samplers build
+/// once per game.
 #[derive(Debug, Clone)]
 pub struct StepOutcome {
     kind: OutcomeKind,
@@ -255,6 +264,20 @@ impl StepOutcome {
 
 /// An incentive protocol, in the paper's normalized units: initial stakes
 /// sum to 1 and rewards are fractions thereof (Assumptions 2–3).
+///
+/// # Per-game state
+///
+/// A protocol value is the per-game state of its step law, which is why
+/// the stepping methods take `&mut self`. A [`crate::game::MiningGame`]
+/// owns its protocol, and every ensemble clones the template it borrows
+/// as `&P` into each game, so a template is never stepped and every game
+/// starts from the template's state. A stateful adapter (the
+/// [`crate::adversary::Adversary`] fork machine) keeps that state in
+/// plain fields and needs no lock. `Clone` copies the state like any
+/// other value, so a game cloned mid-run continues exactly as the
+/// original would. The configuration methods (`name`, `label`,
+/// `reward_per_step`, `params`, …) take `&self` and must not depend on
+/// the state.
 pub trait IncentiveProtocol: Send + Sync {
     /// Protocol name as used in the paper.
     fn name(&self) -> &'static str;
@@ -291,7 +314,8 @@ pub trait IncentiveProtocol: Send + Sync {
     /// use relative weights) and writes it into `out`.
     ///
     /// This is the only stepping method a protocol implements, and the
-    /// one every game runs. A stepping loop that holds one
+    /// one every game runs. It may advance the protocol's own per-game
+    /// state (see the trait docs). A stepping loop that holds one
     /// [`StepOutcome`] performs no steady-state heap allocations. A fresh
     /// or a reused `out` yields the same draw from the same RNG stream:
     /// pooled buffers and the incremental sampler only save work (up to
@@ -300,7 +324,7 @@ pub trait IncentiveProtocol: Send + Sync {
     /// non-empty stake vector with a positive finite total (checked in
     /// debug builds).
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         step_index: u64,
         rng: &mut Xoshiro256StarStar,
@@ -317,7 +341,12 @@ pub trait IncentiveProtocol: Send + Sync {
     /// # Panics
     /// Panics if `stakes` is empty or its total is not positive and
     /// finite.
-    fn step(&self, stakes: &[f64], step_index: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
+    fn step(
+        &mut self,
+        stakes: &[f64],
+        step_index: u64,
+        rng: &mut Xoshiro256StarStar,
+    ) -> StepRewards {
         let _ = crate::protocols::total_stake(stakes);
         let mut out = StepOutcome::new();
         self.step_into(stakes, step_index, rng, &mut out);

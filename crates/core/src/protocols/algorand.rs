@@ -42,7 +42,7 @@ impl IncentiveProtocol for Algorand {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         _step: u64,
         _rng: &mut Xoshiro256StarStar,
@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn deterministic_proportional_split() {
-        let alg = Algorand::new(0.1);
+        let mut alg = Algorand::new(0.1);
         let mut rng = Xoshiro256StarStar::new(1);
         let StepRewards::Split(r) = alg.step(&[0.2, 0.8], 0, &mut rng) else {
             panic!("Algorand must split");
@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn share_ratios_invariant_under_compounding() {
         // s_i' = s_i (1 + v/Σs): proportions never change.
-        let alg = Algorand::new(0.1);
+        let mut alg = Algorand::new(0.1);
         let mut rng = Xoshiro256StarStar::new(2);
         let mut stakes = vec![0.2, 0.8];
         for i in 0..100 {

@@ -92,7 +92,7 @@ impl IncentiveProtocol for CPos {
     /// [`Multinomial::sample_weights_into`] — bit-for-bit the arithmetic
     /// and RNG stream of the allocating path.
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         _step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -135,7 +135,7 @@ mod tests {
 
     #[test]
     fn split_sums_to_step_reward() {
-        let cpos = CPos::paper_default();
+        let mut cpos = CPos::paper_default();
         let mut rng = Xoshiro256StarStar::new(1);
         let stakes = vec![0.2, 0.3, 0.5];
         for i in 0..100 {
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn mean_reward_proportional_to_stake() {
-        let cpos = CPos::paper_default();
+        let mut cpos = CPos::paper_default();
         let mut rng = Xoshiro256StarStar::new(2);
         let stakes = vec![0.2, 0.8];
         let n = 50_000;
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn inflation_part_is_deterministic() {
         // With w→0 the split is exactly proportional.
-        let cpos = CPos::new(1e-12, 0.1, 32);
+        let mut cpos = CPos::new(1e-12, 0.1, 32);
         let mut rng = Xoshiro256StarStar::new(3);
         let stakes = vec![0.2, 0.8];
         let StepRewards::Split(r) = cpos.step(&stakes, 0, &mut rng) else {
@@ -180,10 +180,10 @@ mod tests {
 
     #[test]
     fn variance_shrinks_with_more_shards() {
-        let few = CPos::new(0.01, 0.0, 1);
-        let many = CPos::new(0.01, 0.0, 64);
+        let mut few = CPos::new(0.01, 0.0, 1);
+        let mut many = CPos::new(0.01, 0.0, 64);
         let stakes = vec![0.2, 0.8];
-        let var = |cp: &CPos, seed: u64| {
+        let var = |cp: &mut CPos, seed: u64| {
             let mut rng = Xoshiro256StarStar::new(seed);
             let n = 20_000;
             let mut w = fairness_stats::summary::Welford::new();
@@ -195,8 +195,8 @@ mod tests {
             }
             w.variance()
         };
-        let v_few = var(&few, 4);
-        let v_many = var(&many, 5);
+        let v_few = var(&mut few, 4);
+        let v_many = var(&mut many, 5);
         assert!(
             v_many < v_few / 10.0,
             "64 shards should slash variance: {v_many} vs {v_few}"
@@ -207,7 +207,7 @@ mod tests {
     fn degenerates_to_mlpos_form_when_v0_p1() {
         // Theorem 4.10 note: v=0, P=1 reduces to an ML-PoS-like winner take
         // all per epoch.
-        let cpos = CPos::new(0.01, 0.0, 1);
+        let mut cpos = CPos::new(0.01, 0.0, 1);
         let mut rng = Xoshiro256StarStar::new(6);
         let stakes = vec![0.2, 0.8];
         let StepRewards::Split(r) = cpos.step(&stakes, 0, &mut rng) else {

@@ -53,7 +53,7 @@ impl IncentiveProtocol for Eos {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         _step: u64,
         _rng: &mut Xoshiro256StarStar,
@@ -78,7 +78,7 @@ mod tests {
     #[test]
     fn small_delegate_overpaid() {
         // Delegate 0 stakes 10% but receives 50% of the proposer budget.
-        let eos = Eos::new(0.01, 0.0);
+        let mut eos = Eos::new(0.01, 0.0);
         let mut rng = Xoshiro256StarStar::new(1);
         let StepRewards::Split(r) = eos.step(&[0.1, 0.9], 0, &mut rng) else {
             panic!("EOS must split");
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn inflation_component_proportional() {
-        let eos = Eos::new(1e-9, 0.1);
+        let mut eos = Eos::new(1e-9, 0.1);
         let mut rng = Xoshiro256StarStar::new(2);
         let StepRewards::Split(r) = eos.step(&[0.2, 0.8], 0, &mut rng) else {
             unreachable!()
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn total_reward_constant() {
-        let eos = Eos::new(0.01, 0.05);
+        let mut eos = Eos::new(0.01, 0.05);
         let mut rng = Xoshiro256StarStar::new(3);
         let StepRewards::Split(r) = eos.step(&[0.3, 0.3, 0.4], 0, &mut rng) else {
             unreachable!()

@@ -50,7 +50,7 @@ impl IncentiveProtocol for FslPos {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         _step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn win_rate_proportional_to_stake() {
-        let fsl = FslPos::new(0.01);
+        let mut fsl = FslPos::new(0.01);
         let mut rng = Xoshiro256StarStar::new(1);
         let stakes = vec![0.2, 0.8];
         let n = 200_000;
@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn multi_miner_proportionality() {
-        let fsl = FslPos::new(0.01);
+        let mut fsl = FslPos::new(0.01);
         let mut rng = Xoshiro256StarStar::new(2);
         let stakes = vec![0.1, 0.3, 0.6];
         let n = 200_000;

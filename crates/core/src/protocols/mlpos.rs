@@ -51,7 +51,7 @@ impl IncentiveProtocol for MlPos {
     /// re-sum-and-scan per block. Same uniform draw, same winner (the
     /// descent inverts the same prefix-sum as the linear scan).
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         _step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn win_rate_tracks_current_stakes() {
-        let ml = MlPos::new(0.01);
+        let mut ml = MlPos::new(0.01);
         let mut rng = Xoshiro256StarStar::new(1);
         let stakes = vec![0.7, 0.3];
         let n = 100_000;

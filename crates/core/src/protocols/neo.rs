@@ -54,7 +54,7 @@ impl IncentiveProtocol for Neo {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         _step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn behaves_like_pow() {
-        let neo = Neo::new(&[0.2, 0.8], 0.01);
+        let mut neo = Neo::new(&[0.2, 0.8], 0.01);
         assert!(!neo.rewards_compound());
         let mut rng = Xoshiro256StarStar::new(1);
         let mut wins = 0u64;

@@ -62,7 +62,7 @@ impl IncentiveProtocol for Pow {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         _step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn win_rate_matches_hash_power_not_stakes() {
-        let pow = Pow::new(&[0.2, 0.8], 0.01);
+        let mut pow = Pow::new(&[0.2, 0.8], 0.01);
         let mut rng = Xoshiro256StarStar::new(1);
         // Give miner 0 overwhelming *stake*; PoW must ignore it.
         let stakes = vec![100.0, 1.0];

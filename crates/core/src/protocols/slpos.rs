@@ -69,7 +69,7 @@ impl IncentiveProtocol for SlPos {
 
     #[inline]
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         _step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn two_miner_win_rate_is_half_share_ratio() {
         // Eq. (1): stakes 0.2/0.8 → Pr[A] = 0.2/(2·0.8) = 0.125.
-        let sl = SlPos::new(0.01);
+        let mut sl = SlPos::new(0.01);
         let mut rng = Xoshiro256StarStar::new(1);
         let stakes = vec![0.2, 0.8];
         let n = 200_000;
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn equal_stakes_symmetric() {
-        let sl = SlPos::new(0.01);
+        let mut sl = SlPos::new(0.01);
         let mut rng = Xoshiro256StarStar::new(2);
         let stakes = vec![0.5, 0.5];
         let n = 100_000;
@@ -127,7 +127,7 @@ mod tests {
         // Validated against theory::slpos::win_probabilities in the theory
         // tests; here check a coarse property: the largest miner wins more
         // than her share, the smallest less.
-        let sl = SlPos::new(0.01);
+        let mut sl = SlPos::new(0.01);
         let mut rng = Xoshiro256StarStar::new(3);
         let stakes = vec![0.1, 0.3, 0.6];
         let n = 200_000;

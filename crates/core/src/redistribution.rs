@@ -120,7 +120,7 @@ impl<P: IncentiveProtocol> IncentiveProtocol for ClusterTax<P> {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -241,7 +241,7 @@ impl<P: IncentiveProtocol> IncentiveProtocol for FeeLottery<P> {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -338,7 +338,7 @@ impl<P: IncentiveProtocol> IncentiveProtocol for Alleviation<P> {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -487,7 +487,7 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Sybil<P, S> {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -576,7 +576,7 @@ mod tests {
     #[test]
     fn allocations_conserve_the_step_reward() {
         let stakes = vec![0.1, 0.2, 0.3, 0.4];
-        let check = |protocol: &dyn IncentiveProtocol| {
+        let check = |protocol: &mut dyn IncentiveProtocol| {
             let mut rng = Xoshiro256StarStar::new(61);
             for i in 0..200 {
                 let StepRewards::Split(v) = protocol.step(&stakes, i, &mut rng) else {
@@ -592,11 +592,11 @@ mod tests {
                 assert!(v.iter().all(|&a| a >= 0.0), "{}", protocol.label());
             }
         };
-        check(&ClusterTax::new(MlPos::new(0.01), 0.8, 0.05, &stakes));
-        check(&FeeLottery::new(MlPos::new(0.01), 0.5, false));
-        check(&FeeLottery::new(MlPos::new(0.01), 0.5, true));
-        check(&Alleviation::new(MlPos::new(0.01), 3.0));
-        check(&Sybil::new(MlPos::new(0.01), SybilSplit::new(3)));
+        check(&mut ClusterTax::new(MlPos::new(0.01), 0.8, 0.05, &stakes));
+        check(&mut FeeLottery::new(MlPos::new(0.01), 0.5, false));
+        check(&mut FeeLottery::new(MlPos::new(0.01), 0.5, true));
+        check(&mut Alleviation::new(MlPos::new(0.01), 3.0));
+        check(&mut Sybil::new(MlPos::new(0.01), SybilSplit::new(3)));
     }
 
     #[test]
@@ -641,7 +641,7 @@ mod tests {
         // under a full-strength tax the richest keeps nothing but the
         // rebate, the poorest nets a gain.
         let stakes = vec![0.7, 0.2, 0.1];
-        let tax = ClusterTax::new(Algorand::new(0.1), 1.0, 0.0, &stakes);
+        let mut tax = ClusterTax::new(Algorand::new(0.1), 1.0, 0.0, &stakes);
         let mut rng = Xoshiro256StarStar::new(71);
         let StepRewards::Split(taxed) = tax.step(&stakes, 0, &mut rng) else {
             panic!("must split");
@@ -706,7 +706,7 @@ mod tests {
         // stake-proportional protocol's odds: miner 0 still wins ≈ her
         // share, and the allocation maps back to the original population.
         let stakes = vec![0.4, 0.3, 0.3];
-        let sybil = Sybil::new(MlPos::new(0.01), SybilSplit::new(4));
+        let mut sybil = Sybil::new(MlPos::new(0.01), SybilSplit::new(4));
         let mut rng = Xoshiro256StarStar::new(63);
         let mut attacker_wins = 0u32;
         let steps = 4000;

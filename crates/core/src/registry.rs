@@ -32,8 +32,9 @@ use std::fmt;
 // ---------------------------------------------------------------------------
 
 /// Object-safe cloning shim (the classic `clone_box` pattern): lets a
-/// boxed protocol be cloned per Monte-Carlo repetition, which is what
-/// gives stateful adapters like [`Adversary`] a fresh fork state per game.
+/// boxed protocol be cloned into each Monte-Carlo repetition's game,
+/// state included (a stateful adapter like [`Adversary`] carries its fork
+/// state along).
 trait CloneProtocol: IncentiveProtocol {
     fn clone_box(&self) -> Box<dyn CloneProtocol>;
 }
@@ -136,13 +137,13 @@ impl IncentiveProtocol for BoxedProtocol {
 
     #[inline]
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         step_index: u64,
         rng: &mut Xoshiro256StarStar,
         out: &mut StepOutcome,
     ) {
-        match &self.fast {
+        match &mut self.fast {
             FastStep::SlPos(p) => p.step_into(stakes, step_index, rng, out),
             FastStep::FslPos(p) => p.step_into(stakes, step_index, rng, out),
             FastStep::MlPos(p) => p.step_into(stakes, step_index, rng, out),
@@ -342,6 +343,17 @@ const fn required(key: &'static str, kind: ParamKind, doc: &'static str) -> Para
 
 type Construct = fn(&Args<'_>, &[f64]) -> Result<BoxedProtocol, RegistryError>;
 
+/// What one step of a registry entry's protocol pays out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Payout {
+    /// The whole step reward, to one winner.
+    Winner,
+    /// Whatever its `inner` protocol pays (a pass-through adapter).
+    Inner,
+    /// Parts of the step reward, to several miners.
+    Split,
+}
+
 /// A registered protocol (or adapter).
 pub struct ProtocolEntry {
     /// Spec-facing name (`pow`, `ml-pos`, `adversary`, …).
@@ -350,6 +362,7 @@ pub struct ProtocolEntry {
     pub summary: &'static str,
     /// Declared parameters; construction rejects undeclared keys.
     pub params: &'static [ParamInfo],
+    payout: Payout,
     construct: Construct,
     /// A canonical example spec — used by `list-protocols` and pinned by
     /// the fingerprint snapshot test, so every entry is provably
@@ -578,6 +591,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
         name: "pow",
         summary: "Proof-of-Work: winners drawn by fixed hash power (= the scenario's initial shares); rewards never compound",
         params: &[num("w", 0.01, W_DOC)],
+        payout: Payout::Winner,
         construct: |args, shares| Ok(BoxedProtocol::new(Pow::new(shares, args.positive("w")?))),
         example: || ProtocolSpec::new("pow").with("w", 0.01),
     },
@@ -585,6 +599,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
         name: "ml-pos",
         summary: "multi-lottery PoS: winner proportional to current stake, rewards compound (Qtum/Blackcoin)",
         params: &[num("w", 0.01, W_DOC)],
+        payout: Payout::Winner,
         construct: |args, _| Ok(BoxedProtocol::new(MlPos::new(args.positive("w")?))),
         example: || ProtocolSpec::new("ml-pos").with("w", 0.01),
     },
@@ -592,6 +607,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
         name: "sl-pos",
         summary: "single-lottery PoS: one seeded lottery per block, the rich monopolize (NXT)",
         params: &[num("w", 0.01, W_DOC)],
+        payout: Payout::Winner,
         construct: |args, _| Ok(BoxedProtocol::new(SlPos::new(args.positive("w")?))),
         example: || ProtocolSpec::new("sl-pos").with("w", 0.01),
     },
@@ -599,6 +615,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
         name: "fsl-pos",
         summary: "fair single-lottery PoS: the paper's Section 6.2 time-function treatment of SL-PoS",
         params: &[num("w", 0.01, W_DOC)],
+        payout: Payout::Winner,
         construct: |args, _| Ok(BoxedProtocol::new(FslPos::new(args.positive("w")?))),
         example: || ProtocolSpec::new("fsl-pos").with("w", 0.01),
     },
@@ -610,6 +627,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
             num("v", 0.1, "inflation (attester) reward per epoch"),
             num("shards", 1.0, "shard count P (the paper's figures use an effective P = 1)"),
         ],
+        payout: Payout::Split,
         construct: |args, _| {
             let shards = args.index("shards")?;
             if shards == 0 || shards > u32::MAX as usize {
@@ -632,6 +650,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
         name: "neo",
         summary: "NEO-style PoS: winners by fixed voting shares, rewards paid in a separate (non-compounding) asset",
         params: &[num("w", 0.01, W_DOC)],
+        payout: Payout::Winner,
         construct: |args, shares| Ok(BoxedProtocol::new(Neo::new(shares, args.positive("w")?))),
         example: || ProtocolSpec::new("neo").with("w", 0.01),
     },
@@ -639,6 +658,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
         name: "algorand",
         summary: "Algorand-style inflation-only rewards: every miner paid proportionally each step (absolutely fair)",
         params: &[num("v", 0.1, "inflation per step")],
+        payout: Payout::Split,
         construct: |args, _| Ok(BoxedProtocol::new(Algorand::new(args.positive("v")?))),
         example: || ProtocolSpec::new("algorand").with("v", 0.1),
     },
@@ -649,6 +669,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
             num("w", 0.01, "proposer budget per round"),
             num("v", 0.1, "inflation budget per round"),
         ],
+        payout: Payout::Split,
         construct: |args, _| {
             Ok(BoxedProtocol::new(Eos::new(
                 args.positive("w")?,
@@ -671,6 +692,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
                 doc: "her frozen staking power (default: her initial share)",
             },
         ],
+        payout: Payout::Inner,
         construct: |args, shares| {
             let inner = construct(args.spec("inner")?, shares)?;
             let miner = args.index("miner")?;
@@ -706,6 +728,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
             required("inner", ParamKind::Spec, INNER_DOC),
             required("members", ParamKind::List, "pool member indices, e.g. members = [0, 1]"),
         ],
+        payout: Payout::Split,
         construct: |args, shares| {
             let inner = construct(args.spec("inner")?, shares)?;
             let raw = args.list("members")?;
@@ -744,8 +767,20 @@ static PROTOCOLS: &[ProtocolEntry] = &[
                 "honest | selfish-mining(gamma) | stake-grinding(tries)",
             ),
         ],
+        payout: Payout::Winner,
         construct: |args, shares| {
-            let inner = construct(args.spec("inner")?, shares)?;
+            let inner_spec = args.spec("inner")?;
+            let inner = construct(inner_spec, shares)?;
+            if !pays_one_winner(inner_spec) {
+                return Err(args.bad(
+                    "inner",
+                    format!(
+                        "`{}` splits step rewards, but a fork needs one winner per block \
+                         (pow, ml-pos, sl-pos, fsl-pos, neo, or cash-out over one of them)",
+                        inner_spec.name
+                    ),
+                ));
+            }
             let strategy = construct_strategy(args.spec("strategy")?)?;
             Ok(BoxedProtocol::new(Adversary::new(inner, strategy)))
         },
@@ -766,6 +801,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
             num("strength", 0.5, "top tax rate in [0, 1] paid by the richest cluster"),
             num("decay", 0.0, "per-step decay in [0, 1] of the initial cluster tags toward current shares"),
         ],
+        payout: Payout::Split,
         construct: |args, shares| {
             let inner = construct(args.spec("inner")?, shares)?;
             let strength = args.number("strength")?;
@@ -795,6 +831,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
             num("fee", 0.5, "fee rate in [0, 1] levied on every step reward"),
             num("weighted", 0.0, "1 = value-weighted (stake-proportional) rebate draw, 0 = uniform"),
         ],
+        payout: Payout::Split,
         construct: |args, shares| {
             let inner = construct(args.spec("inner")?, shares)?;
             let fee = args.number("fee")?;
@@ -825,6 +862,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
             required("inner", ParamKind::Spec, INNER_DOC),
             num("beta", 2.0, "discount exponent >= 0 (0 = no-op)"),
         ],
+        payout: Payout::Split,
         construct: |args, shares| {
             let inner = construct(args.spec("inner")?, shares)?;
             Ok(BoxedProtocol::new(Alleviation::new(
@@ -849,6 +887,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
                 "sybil-split(identities) | honest",
             ),
         ],
+        payout: Payout::Split,
         construct: |args, shares| {
             let inner = construct(args.spec("inner")?, shares)?;
             let strategy = construct_strategy(args.spec("strategy")?)?;
@@ -1032,6 +1071,19 @@ pub fn find(name: &str) -> Option<&'static ProtocolEntry> {
     PROTOCOLS.iter().find(|e| e.name == name)
 }
 
+/// Whether every step of the protocol `spec` names pays its whole reward
+/// to one winner, as `adversary` needs of its inner protocol. An unknown
+/// name answers `false`; construction reports it.
+fn pays_one_winner(spec: &ProtocolSpec) -> bool {
+    match find(&spec.name).map(|e| e.payout) {
+        Some(Payout::Winner) => true,
+        Some(Payout::Inner) => {
+            matches!(spec.get("inner"), Some(ArgValue::Spec(inner)) if pays_one_winner(inner))
+        }
+        Some(Payout::Split) | None => false,
+    }
+}
+
 /// Constructs the protocol a spec describes. `shares` is the scenario's
 /// initial share vector — [`Pow`]/[`Neo`] draw their fixed lottery weights
 /// from it, and adapters validate miner indices against it.
@@ -1065,6 +1117,7 @@ pub fn construct_strategy(spec: &ProtocolSpec) -> Result<BoxedStrategy, Registry
 mod tests {
     use super::*;
     use crate::montecarlo::{run_ensemble, EnsembleConfig};
+    use crate::protocol::StepRewards;
 
     const SHARES: [f64; 2] = [0.2, 0.8];
 
@@ -1127,6 +1180,40 @@ mod tests {
     }
 
     #[test]
+    fn adversary_refuses_every_split_inner_at_construction() {
+        // Each entry's payout bit must match what its example pays: a
+        // single-winner inner builds an adapter that steps, and a
+        // splitting one is refused before any game could panic on it.
+        let refused = |spec: &ProtocolSpec| {
+            let adversary = ProtocolSpec::new("adversary")
+                .with("inner", spec.clone())
+                .with("strategy", ProtocolSpec::new("honest"));
+            construct(&adversary, &SHARES).err()
+        };
+        for entry in registry() {
+            let inner = entry.example();
+            let mut bare = construct(&inner, &SHARES).expect("example constructs");
+            let mut rng = Xoshiro256StarStar::new(3);
+            let one_winner = matches!(bare.step(&SHARES, 0, &mut rng), StepRewards::Winner(_));
+            assert_eq!(pays_one_winner(&inner), one_winner, "{}", entry.name);
+            match refused(&inner) {
+                None => assert!(one_winner, "{} splits", entry.name),
+                Some(RegistryError::BadParam { name, key, .. }) => {
+                    assert!(!one_winner, "{} pays one winner", entry.name);
+                    assert_eq!((name.as_str(), key.as_str()), ("adversary", "inner"));
+                }
+                Some(e) => panic!("{}: {e}", entry.name),
+            }
+        }
+        let one_shard = ProtocolSpec::new("c-pos")
+            .with("w", 0.01)
+            .with("v", 0.1)
+            .with("shards", 1.0);
+        assert!(refused(&one_shard).is_some());
+        assert!(refused(&ProtocolSpec::new("cash-out").with("inner", one_shard)).is_some());
+    }
+
+    #[test]
     fn defaults_fill_in() {
         // Bare names construct at paper defaults.
         let p = construct(&ProtocolSpec::new("ml-pos"), &SHARES).expect("default w");
@@ -1140,7 +1227,8 @@ mod tests {
     #[test]
     fn boxed_protocols_run_ensembles_deterministically() {
         // The boxed adversary must behave exactly like the concrete one
-        // (clone-per-repetition resets interior fork state identically).
+        // (every repetition's game starts from the template's unforked
+        // state).
         let spec = ProtocolSpec::new("adversary")
             .with("inner", ProtocolSpec::new("pow").with("w", 0.01))
             .with(

@@ -80,7 +80,7 @@ impl<P: IncentiveProtocol> IncentiveProtocol for CashOut<P> {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -163,7 +163,7 @@ impl<P: IncentiveProtocol> IncentiveProtocol for MiningPool<P> {
     }
 
     fn step_into(
-        &self,
+        &mut self,
         stakes: &[f64],
         step: u64,
         rng: &mut Xoshiro256StarStar,
@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn pool_allocation_sums_to_step_reward() {
-        let pool = MiningPool::new(MlPos::new(0.01), vec![0, 2]);
+        let mut pool = MiningPool::new(MlPos::new(0.01), vec![0, 2]);
         let mut rng = Xoshiro256StarStar::new(59);
         let stakes = vec![0.1, 0.4, 0.2, 0.3];
         for i in 0..200 {

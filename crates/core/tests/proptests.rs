@@ -17,7 +17,7 @@ proptest! {
         let stakes: Vec<f64> = shares.iter().map(|s| s / total).collect();
         let mut rng = Xoshiro256StarStar::new(seed);
 
-        let protocols: Vec<Box<dyn IncentiveProtocol>> = vec![
+        let mut protocols: Vec<Box<dyn IncentiveProtocol>> = vec![
             Box::new(Pow::new(&stakes, 0.01)),
             Box::new(MlPos::new(0.01)),
             Box::new(SlPos::new(0.01)),
@@ -27,7 +27,7 @@ proptest! {
             Box::new(Algorand::new(0.1)),
             Box::new(Eos::new(0.01, 0.1)),
         ];
-        for p in &protocols {
+        for p in &mut protocols {
             let rewards = p.step(&stakes, 0, &mut rng);
             let issued: f64 = match &rewards {
                 StepRewards::Winner(w) => {
@@ -257,7 +257,7 @@ proptest! {
         // scratch pools carry over.
         let total: f64 = shares.iter().sum();
         let stakes: Vec<f64> = shares.iter().map(|s| s / total).collect();
-        let protocols: Vec<Box<dyn IncentiveProtocol>> = vec![
+        let mut protocols: Vec<Box<dyn IncentiveProtocol>> = vec![
             Box::new(Pow::new(&stakes, 0.01)),
             Box::new(MlPos::new(0.01)),
             Box::new(SlPos::new(0.01)),
@@ -273,7 +273,7 @@ proptest! {
             Box::new(MiningPool::new(CPos::new(0.01, 0.1, 8), vec![0, 1])),
         ];
         let mut out = fairness_core::protocol::StepOutcome::new();
-        for p in &protocols {
+        for p in &mut protocols {
             let mut a_rng = Xoshiro256StarStar::new(seed);
             let mut b_rng = Xoshiro256StarStar::new(seed);
             let mut evolving = stakes.clone();
@@ -301,18 +301,18 @@ proptest! {
         a in 0.05f64..0.45,
         seed in any::<u64>(),
     ) {
-        // The adversary adapter is stateful (interior fork machine and
-        // its own reused outcome), so a fresh outcome per step (`step`)
+        // The adversary adapter is stateful (its own fork machine and
+        // inner outcome), so a fresh outcome per step (`step`)
         // and one reused outcome (`step_into`) are compared on
         // independent adapters driven by identical RNG streams.
         let shares = two_miner(a);
         let via_step = {
-            let adapter = Adversary::new(SlPos::new(0.01), SelfishMining::new(0.5));
+            let mut adapter = Adversary::new(SlPos::new(0.01), SelfishMining::new(0.5));
             let mut rng = Xoshiro256StarStar::new(seed);
             (0..50).map(|i| adapter.step(&shares, i, &mut rng)).collect::<Vec<_>>()
         };
         let via_step_into = {
-            let adapter = Adversary::new(SlPos::new(0.01), SelfishMining::new(0.5));
+            let mut adapter = Adversary::new(SlPos::new(0.01), SelfishMining::new(0.5));
             let mut rng = Xoshiro256StarStar::new(seed);
             let mut out = fairness_core::protocol::StepOutcome::new();
             (0..50)

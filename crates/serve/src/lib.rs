@@ -41,6 +41,7 @@ pub mod http;
 
 use fairness_bench::service::{SubmitError, SweepJob, SweepService};
 use fairness_bench::ReproOptions;
+use fairness_core::registry;
 use fairness_core::scenario::text::parse_scenarios;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -332,9 +333,10 @@ impl Server {
     /// `POST /v1/scenarios` — parse the `.scn` body, submit, stream the
     /// job's events as NDJSON until it is terminal. A body that does not
     /// parse, or names an invalid scenario, is answered `400` with code
-    /// `parse` or the scenario's validation code. A duplicate submission
-    /// attaches to the stored job and replays its log byte-for-byte with
-    /// zero simulation work.
+    /// `parse` or the scenario's validation code; one naming a protocol
+    /// the registry cannot build, with code `registry`. A duplicate
+    /// submission attaches to the stored job and replays its log
+    /// byte-for-byte with zero simulation work.
     fn post_scenarios(&self, stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
         let Ok(text) = std::str::from_utf8(body) else {
             return error_response(
@@ -351,6 +353,14 @@ impl Server {
                 return error_response(stream, 400, "Bad Request", e.code, &e.to_string());
             }
         };
+        // A protocol the registry cannot build would only fail its job
+        // once it runs: refuse it here, like a body that does not parse.
+        for spec in &specs {
+            if let Err(e) = registry::construct(&spec.protocol, &spec.initial_shares()) {
+                let message = format!("scenario \"{}\": {e}", spec.name);
+                return error_response(stream, 400, "Bad Request", "registry", &message);
+            }
+        }
         let job = match self.service.submit(specs) {
             Ok((job, _fresh)) => job,
             Err(e @ SubmitError::Saturated { .. }) => {

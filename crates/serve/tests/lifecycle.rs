@@ -523,3 +523,34 @@ fn overflowing_share_total_is_refused_and_the_daemon_drains() {
         &batch("[0.3, 0.7]"),
     );
 }
+
+/// An adversary over a split-reward protocol is refused with code
+/// `registry` before any job is queued, where its job used to panic on
+/// the first step; the daemon keeps serving and drains.
+#[test]
+fn split_reward_adversary_inner_is_refused_and_the_daemon_drains() {
+    let batch = |inner: &str| {
+        format!(
+            "scenario \"split\" {{\n\
+             \x20 protocol = adversary(inner = {inner}, strategy = honest)\n\
+             \x20 shares = [0.3, 0.7]\n\
+             \x20 checkpoints = linear(100, 5)\n\
+             }}\n"
+        )
+    };
+    refuses_then_serves(
+        "fairness-serve-split-inner",
+        false,
+        &[
+            (
+                batch("c-pos(w = 0.01, v = 0.1, shards = 1)"),
+                Refusal::Parse("registry"),
+            ),
+            (
+                batch("cash-out(inner = algorand(v = 0.1))"),
+                Refusal::Parse("registry"),
+            ),
+        ],
+        &batch("pow(w = 0.01)"),
+    );
+}

@@ -25,8 +25,9 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 /// Concurrent callers for a key that is being computed wait for that
 /// computation instead of repeating it: each distinct key is computed
 /// once per cache lifetime (and again only after [`clear`](Self::clear)
-/// or a panicking computation). A **miss** is one computation; every
-/// other lookup, including one that waited, is a **hit**.
+/// or a computation that panicked or failed). A **miss** is one
+/// computation; every other lookup, including one that waited, is a
+/// **hit**.
 #[derive(Debug)]
 pub struct MemoCache<K, V> {
     state: Mutex<State<K, V>>,
@@ -106,11 +107,33 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
     /// Propagates a panic from `compute`; panics if the internal lock is
     /// poisoned.
     pub fn get_or_insert_with<F: FnOnce() -> V>(&self, key: &K, compute: F) -> V {
+        let Ok(value) =
+            self.try_get_or_insert_with(key, || Ok::<_, std::convert::Infallible>(compute()));
+        value
+    }
+
+    /// [`get_or_insert_with`](Self::get_or_insert_with) with a fallible
+    /// `compute`. An error is returned to this caller and stores nothing:
+    /// like a panicking computation, it frees the key and wakes every
+    /// waiter, and one of them computes in its place. It still counts as
+    /// a miss.
+    ///
+    /// # Errors
+    /// Returns `compute`'s error.
+    ///
+    /// # Panics
+    /// Propagates a panic from `compute`; panics if the internal lock is
+    /// poisoned.
+    pub fn try_get_or_insert_with<E, F: FnOnce() -> Result<V, E>>(
+        &self,
+        key: &K,
+        compute: F,
+    ) -> Result<V, E> {
         let mut state = self.lock();
         loop {
             if let Some(v) = state.ready.get(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return v.clone();
+                return Ok(v.clone());
             }
             if !state.computing.contains(key) {
                 break;
@@ -122,10 +145,10 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         drop(state);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let flight = Flight { cache: self, key };
-        let value = compute();
+        let value = compute()?;
         self.lock().ready.insert(key.clone(), value.clone());
         drop(flight);
-        value
+        Ok(value)
     }
 
     /// Returns the cached value for `key` without computing.
@@ -386,6 +409,42 @@ mod tests {
         assert_eq!(cache.peek(&5), Some(55));
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 0);
+    }
+
+    #[test]
+    fn failed_compute_stores_nothing_and_wakes_its_waiters() {
+        let cache: Arc<MemoCache<u32, u32>> = Arc::new(MemoCache::new());
+        let (entered, compute_entered) = mpsc::channel();
+        let leader = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.try_get_or_insert_with(&5, || {
+                    entered.send(()).unwrap();
+                    while cache.waits.load(Ordering::Relaxed) == 0 {
+                        std::thread::yield_now();
+                    }
+                    Err("cancelled")
+                })
+            })
+        };
+        compute_entered.recv().unwrap();
+        let (value_tx, value) = mpsc::channel();
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                value_tx.send(cache.get_or_insert_with(&5, || 55)).unwrap();
+            })
+        };
+        assert_eq!(leader.join().unwrap(), Err("cancelled"));
+        assert_eq!(
+            value.recv_timeout(Duration::from_secs(30)),
+            Ok(55),
+            "the waiter is woken and computes in the leader's place"
+        );
+        waiter.join().unwrap();
+        assert_eq!(cache.peek(&5), Some(55));
+        assert_eq!((cache.misses(), cache.hits()), (2, 0));
+        assert_eq!(cache.try_get_or_insert_with(&5, || Err("unused")), Ok(55));
     }
 
     #[test]
