@@ -157,3 +157,78 @@ fn monte_carlo_fork_driver_agrees_with_the_mdp_value() {
         "optimal Monte-Carlo {opt_mc} vs MDP {opt_value}"
     );
 }
+
+/// `(α, γ, depth)` → the solve's table fingerprint, the bits of its
+/// revenue, gains and Eyal–Sirer baseline, its Dinkelbach rounds, and the
+/// settled `(attacker, honest)` tally of a 20,000-round fork game that
+/// plays the table.
+type SolvePin = ((f64, f64, u32), u64, [u64; 4], u32, (u64, u64));
+
+const SOLVE_PINS: &[SolvePin] = &[
+    (
+        (0.25, 0.5, 8),
+        0xc1d6_793f_ab87_7a9b,
+        [
+            0x3fd0_7c2b_42b8_566b,
+            0x3fcc_5fc8_4959_fba5,
+            0x3feb_8a0f_d8a9_7a19,
+            0x3fcf_ef0b_89d3_673a,
+        ],
+        2,
+        (4316, 12074),
+    ),
+    (
+        (0.35, 0.0, 16),
+        0x3b22_c808_0588_a609,
+        [
+            0x3fd7_8fa8_45d3_5a60,
+            0x3fd1_c651_258e_87a9,
+            0x3fe8_2417_88ab_1737,
+            0x3fd7_43d7_2ffb_e319,
+        ],
+        2,
+        (5575, 9483),
+    ),
+    (
+        (0.45, 1.0, 24),
+        0x69dc_bd1d_d7d9_5d96,
+        [
+            0x3fe8_5998_922d_5f44,
+            0x3fdf_3bcf_48e8_71ac,
+            0x3fe4_85ec_6c06_332a,
+            0x3fe5_3990_65cf_d3fb,
+        ],
+        3,
+        (8993, 2833),
+    ),
+];
+
+#[test]
+fn optimal_solves_match_golden_pins() {
+    // Pins the fork MDP's transition table end to end: the solved policy,
+    // its value bit for bit and the solver's path to it. Regenerate ONLY
+    // for a deliberate change of the fork rules or the solver.
+    let got: Vec<SolvePin> = SOLVE_PINS
+        .iter()
+        .map(|&((alpha, gamma, depth), ..)| {
+            let solved = solve_optimal(alpha, gamma, depth);
+            let bits = [
+                solved.revenue.to_bits(),
+                solved.gains[0].to_bits(),
+                solved.gains[1].to_bits(),
+                solved.eyal_sirer.to_bits(),
+            ];
+            let strategy = OptimalWithholding::new(alpha, gamma, depth);
+            let mut rng = Xoshiro256StarStar::new(0x5EED_0700);
+            let game = run_fork_game(&strategy, alpha, 20_000, &mut rng);
+            (
+                (alpha, gamma, depth),
+                solved.fingerprint,
+                bits,
+                solved.rounds,
+                (game.attacker, game.honest),
+            )
+        })
+        .collect();
+    assert_eq!(got, SOLVE_PINS, "{got:#x?}");
+}
