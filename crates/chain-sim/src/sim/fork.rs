@@ -5,11 +5,18 @@
 //! winner immediately extends the single public chain. [`ForkNetSim`]
 //! drops that assumption for one strategic miner (index 0): she maintains
 //! a *private branch*, the consensus engine races public and private tips
-//! on equal terms ([`Engine::run_on_tips`]), and her
-//! [`Strategy`] decides after every block whether to keep withholding,
-//! publish (reorging the network onto a longer branch, or opening an
-//! equal-length tip race in which a fraction γ of honest power mines on
-//! her tip), or adopt the public chain.
+//! on equal terms ([`Engine::run_on_tips`]), and her [`Strategy`] decides
+//! after every block whether to keep withholding, publish (reorging the
+//! network onto a longer branch, or opening an equal-length tip race in
+//! which a fraction γ of honest power mines on her tip), or adopt the
+//! public chain.
+//!
+//! The branches and the fork rules are `fairness_core`'s
+//! [`ForkMachine`], holding real blocks: the same code that settles the
+//! model-level fork game and the `Adversary` protocol adapter settles this
+//! network. What this module adds is the substrate — each miner's tip and
+//! each block's height, block assembly, grinding, and booking settled
+//! blocks into wins and stakes.
 //!
 //! Stake grinding is implemented mechanically: when the attacker assembles
 //! a block on an SL-PoS chain she tries up to `tries` candidate nonces —
@@ -31,7 +38,7 @@ use crate::hash::Hash256;
 use crate::sim::network::Engine;
 use crate::transaction::Transaction;
 use crate::u256::U256;
-use fairness_core::adversary::{ForkAction, ForkEvent, ForkState, Strategy};
+use fairness_core::adversary::{ForkMachine, ForkState, Strategy};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Configuration of a fork-aware adversarial network. Miner 0 is the
@@ -73,14 +80,10 @@ pub struct ForkNetSim<S: Strategy> {
     wins: Vec<u64>,
     /// The settled main chain, genesis first.
     settled: Vec<Block>,
-    /// The attacker's withheld branch since the fork point.
-    private: Vec<Block>,
-    /// The honest branch since the fork point.
-    public_fork: Vec<Block>,
-    /// Whether the attacker's branch is published at equal length.
-    published: bool,
-    /// Orphaned blocks (never counted as revenue).
-    orphaned: u64,
+    /// Both branches since the fork point, and the rules that settle them.
+    fork: ForkMachine<Block>,
+    /// Blocks found so far: settled, pending on a branch, or orphaned.
+    found: u64,
     clock: u64,
 }
 
@@ -115,10 +118,8 @@ impl<S: Strategy> ForkNetSim<S> {
             stakes,
             miners,
             settled: vec![genesis],
-            private: Vec::new(),
-            public_fork: Vec::new(),
-            published: false,
-            orphaned: 0,
+            fork: ForkMachine::default(),
+            found: 0,
             clock: 0,
         }
     }
@@ -126,31 +127,16 @@ impl<S: Strategy> ForkNetSim<S> {
     /// The fork state as a [`Strategy`] sees it.
     #[must_use]
     pub fn fork_state(&self) -> ForkState {
-        ForkState {
-            private: self.private.len() as u64,
-            public: self.public_fork.len() as u64,
-            published: self.published,
-        }
+        self.fork.state()
     }
 
-    fn tie_race(&self) -> bool {
-        self.published && !self.private.is_empty() && self.private.len() == self.public_fork.len()
-    }
-
-    fn settled_tip(&self) -> Hash256 {
-        self.settled.last().expect("genesis always present").hash()
-    }
-
-    fn private_tip(&self) -> Hash256 {
-        self.private
+    /// The tip of `branch`, or the settled tip when it is empty.
+    fn tip(&self, branch: &[Block]) -> Hash256 {
+        branch
             .last()
-            .map_or_else(|| self.settled_tip(), Block::hash)
-    }
-
-    fn public_tip(&self) -> Hash256 {
-        self.public_fork
-            .last()
-            .map_or_else(|| self.settled_tip(), Block::hash)
+            .or(self.settled.last())
+            .expect("genesis always present")
+            .hash()
     }
 
     fn target(&self) -> U256 {
@@ -160,55 +146,34 @@ impl<S: Strategy> ForkNetSim<S> {
         }
     }
 
-    fn settle(&mut self, block: Block) {
-        let proposer = block.header.proposer;
-        let idx = self
-            .miners
-            .iter()
-            .position(|m| m.address == proposer)
-            .expect("settled block from a known miner");
-        self.wins[idx] += 1;
-        self.stakes[idx] += self.block_reward;
-        self.settled.push(block);
+    /// Books the blocks the fork machine settled onto the main chain.
+    fn settle(&mut self) {
+        while let Some(block) = self.fork.pop_settled() {
+            let proposer = block.header.proposer;
+            let idx = self
+                .miners
+                .iter()
+                .position(|m| m.address == proposer)
+                .expect("settled block from a known miner");
+            self.wins[idx] += 1;
+            self.stakes[idx] += self.block_reward;
+            self.settled.push(block);
+        }
     }
 
-    fn publish_private(&mut self) {
-        self.orphaned += self.public_fork.len() as u64;
-        self.public_fork.clear();
-        for block in std::mem::take(&mut self.private) {
-            self.settle(block);
-        }
-        self.published = false;
-    }
-
-    fn adopt_public(&mut self) {
-        self.orphaned += self.private.len() as u64;
-        self.private.clear();
-        for block in std::mem::take(&mut self.public_fork) {
-            self.settle(block);
-        }
-        self.published = false;
-    }
-
-    // The transition rules below deliberately mirror
-    // `fairness_core::adversary::ForkMachine` on a different substrate
-    // (real blocks settling into counters, vs owner indices): the shared
-    // closed-form tests pin both to the same laws, so a rule change on one
-    // side without the other fails loudly rather than drifting silently.
-    fn apply(&mut self, action: ForkAction) {
-        match action {
-            ForkAction::ExtendPrivate => {}
-            ForkAction::Adopt => self.adopt_public(),
-            ForkAction::Publish => {
-                if self.private.len() > self.public_fork.len() {
-                    self.publish_private();
-                } else if self.private.len() == self.public_fork.len() && !self.private.is_empty() {
-                    self.published = true;
-                } else if self.private.len() < self.public_fork.len() {
-                    self.adopt_public();
-                }
-            }
-        }
+    /// Miner `miner`'s block at `height` on `prev`, paying her coinbase.
+    fn assemble(&self, miner: usize, height: u64, prev: Hash256, nonce: u64) -> Block {
+        let address = self.miners[miner].address;
+        let coinbase = Transaction::coinbase(address, self.block_reward, height);
+        Block::assemble(
+            height,
+            prev,
+            self.clock,
+            self.target(),
+            nonce,
+            address,
+            vec![coinbase],
+        )
     }
 
     /// Assembles the attacker's block, grinding candidate nonces on SL-PoS
@@ -216,26 +181,14 @@ impl<S: Strategy> ForkNetSim<S> {
     /// wins the *next* lottery is kept (evaluated at post-settlement
     /// stakes), falling back to the last candidate.
     fn assemble_attacker_block(&self, height: u64, prev: Hash256, base_nonce: u64) -> Block {
-        let assemble = |nonce: u64| {
-            let coinbase = Transaction::coinbase(self.miners[0].address, self.block_reward, height);
-            Block::assemble(
-                height,
-                prev,
-                self.clock,
-                self.target(),
-                nonce,
-                self.miners[0].address,
-                vec![coinbase],
-            )
-        };
         let tries = self.strategy.grinding_tries();
         let engine = match &self.engine {
             Engine::SlPos(engine) if tries > 1 => engine,
-            _ => return assemble(base_nonce),
+            _ => return self.assemble(0, height, prev, base_nonce),
         };
         let mut next_stakes = self.stakes.clone();
         next_stakes[0] += self.block_reward;
-        let mut candidate = assemble(0);
+        let mut candidate = self.assemble(0, height, prev, 0);
         for nonce in 1..u64::from(tries) {
             let next = engine.run_on_tips(
                 &vec![candidate.hash(); self.miners.len()],
@@ -245,7 +198,7 @@ impl<S: Strategy> ForkNetSim<S> {
             if next.winner == 0 {
                 break;
             }
-            candidate = assemble(nonce);
+            candidate = self.assemble(0, height, prev, nonce);
         }
         candidate
     }
@@ -254,16 +207,15 @@ impl<S: Strategy> ForkNetSim<S> {
     /// response. Returns the index of the miner who found the block.
     pub fn step_block(&mut self, rng: &mut Xoshiro256StarStar) -> usize {
         let m = self.miners.len();
-        let tie = self.tie_race();
         let gamma = self.strategy.gamma();
         // Per-miner tips: the attacker mines her own branch, honest miners
         // the public tip — except during a tie race, where each honest
         // miner works on the attacker's tip with probability γ.
-        let mut tips = vec![self.public_tip(); m];
+        let mut tips = vec![self.tip(self.fork.public_branch()); m];
         let mut on_private = vec![false; m];
-        tips[0] = self.private_tip();
+        tips[0] = self.tip(self.fork.private_branch());
         on_private[0] = true;
-        if tie && gamma > 0.0 {
+        if self.fork.tie_race() && gamma > 0.0 {
             let attacker_tip = tips[0];
             for i in 1..m {
                 let u = rng.next() as f64 / (u64::MAX as f64);
@@ -279,49 +231,21 @@ impl<S: Strategy> ForkNetSim<S> {
             .run_on_tips(&tips, &self.miners, &self.stakes, rng);
         self.clock += outcome.elapsed_ticks;
         let w = outcome.winner;
-
-        if w == 0 {
-            let height = (self.settled.len() + self.private.len()) as u64;
-            let block = self.assemble_attacker_block(height, tips[0], outcome.nonce);
-            self.private.push(block);
-            self.apply(
-                self.strategy
-                    .decide(self.fork_state(), ForkEvent::SelfBlock),
-            );
+        let branch = if on_private[w] {
+            self.fork.private_branch()
         } else {
-            let height = if tie && on_private[w] {
-                (self.settled.len() + self.private.len()) as u64
-            } else {
-                (self.settled.len() + self.public_fork.len()) as u64
-            };
-            let coinbase = Transaction::coinbase(self.miners[w].address, self.block_reward, height);
-            let block = Block::assemble(
-                height,
-                tips[w],
-                self.clock,
-                self.target(),
-                outcome.nonce,
-                self.miners[w].address,
-                vec![coinbase],
-            );
-            if tie && on_private[w] {
-                // Honest power extended the attacker's published branch:
-                // her blocks settle underneath, the public side orphans.
-                self.orphaned += self.public_fork.len() as u64;
-                self.public_fork.clear();
-                for b in std::mem::take(&mut self.private) {
-                    self.settle(b);
-                }
-                self.settle(block);
-                self.published = false;
-            } else {
-                self.public_fork.push(block);
-                self.apply(
-                    self.strategy
-                        .decide(self.fork_state(), ForkEvent::PublicBlock),
-                );
-            }
-        }
+            self.fork.public_branch()
+        };
+        let height = (self.settled.len() + branch.len()) as u64;
+        let block = if w == 0 {
+            self.assemble_attacker_block(height, tips[0], outcome.nonce)
+        } else {
+            self.assemble(w, height, tips[w], outcome.nonce)
+        };
+        self.found += 1;
+        self.fork
+            .on_block(&self.strategy, block, w == 0, on_private[w]);
+        self.settle();
         w
     }
 
@@ -335,16 +259,8 @@ impl<S: Strategy> ForkNetSim<S> {
     /// Ends the game: the strictly longer branch settles, an unresolved
     /// equal-length race orphans both sides.
     pub fn finalize(&mut self) {
-        if self.private.len() > self.public_fork.len() {
-            self.publish_private();
-        } else if self.public_fork.len() > self.private.len() {
-            self.adopt_public();
-        } else {
-            self.orphaned += (self.private.len() + self.public_fork.len()) as u64;
-            self.private.clear();
-            self.public_fork.clear();
-            self.published = false;
-        }
+        self.fork.finalize();
+        self.settle();
     }
 
     /// Settled main-chain height (excluding genesis).
@@ -377,10 +293,12 @@ impl<S: Strategy> ForkNetSim<S> {
         self.win_fraction(0)
     }
 
-    /// Blocks orphaned by fork resolution so far.
+    /// Blocks orphaned by fork resolution so far: found, but neither
+    /// settled nor pending on a branch.
     #[must_use]
     pub fn orphaned(&self) -> u64 {
-        self.orphaned
+        let pending = self.fork.state();
+        self.found - self.settled_height() - pending.private - pending.public
     }
 
     /// Settled staking power of miner `i` (initial + settled rewards).

@@ -13,14 +13,21 @@
 //!
 //! 1. [`Strategy`] — the decision interface (extend-private / publish /
 //!    adopt) with [`Honest`], [`SelfishMining`] and [`StakeGrinding`]
-//!    implementations;
-//! 2. [`ForkMachine`] + [`run_fork_game`] — a model-level fork driver over
-//!    abstract block-discovery events, validated against the Eyal–Sirer
-//!    closed form in [`fairness_stats::dist::selfish_mining_relative_revenue`];
+//!    implementations, and [`ForkAction::resolve`], the one statement of
+//!    what an action does to the fork;
+//! 2. [`ForkMachine`] — both branches since the fork point, settled by
+//!    `resolve`. It is generic over what a branch holds: owner indices in
+//!    [`run_fork_game`], a model-level driver over abstract
+//!    block-discovery events validated against the Eyal–Sirer closed form
+//!    in [`fairness_stats::dist::selfish_mining_relative_revenue`], and
+//!    real blocks in the `chain-sim` crate's hash-level `ForkNetSim`;
 //! 3. [`Adversary`] — an [`IncentiveProtocol`] adapter so adversarial
 //!    configurations flow through the existing ensemble/`SweepCache`
-//!    machinery unchanged (the `chain-sim` crate hosts the hash-level
-//!    counterpart, `ForkNetSim`, validated against the same laws).
+//!    machinery unchanged.
+//!
+//! The fork MDP ([`crate::mdp::fork`]) builds its transition table from
+//! the same `resolve`, so the optimal-withholding policy is solved for
+//! exactly the rules the drivers play.
 
 use crate::protocol::{protocol_tag, IncentiveProtocol, StepOutcome, StepRewardsView};
 use fairness_stats::rng::Xoshiro256StarStar;
@@ -36,7 +43,8 @@ pub enum ForkEvent {
     PublicBlock,
 }
 
-/// A strategic miner's response to a [`ForkEvent`].
+/// A strategic miner's response to a [`ForkEvent`]. What it does to the
+/// fork is [`resolve`](Self::resolve)'s to say.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForkAction {
     /// Keep the private branch hidden and keep mining on it.
@@ -50,11 +58,43 @@ pub enum ForkAction {
     Adopt,
 }
 
+/// What a [`ForkAction`] does to the fork it acts on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resolution {
+    /// Nothing settles: the attacker keeps withholding, or has nothing to
+    /// publish.
+    Hold,
+    /// Both branches are public at equal length: the tip race opens, or
+    /// goes on.
+    Race,
+    /// The private branch settles and the public one is orphaned.
+    Private,
+    /// The public branch settles and the private one is orphaned.
+    Public,
+}
+
+impl ForkAction {
+    /// The fork rule: what this action does in `state`. [`ForkMachine`],
+    /// chain-sim's fork network and the fork MDP all settle forks through
+    /// it, so it is the one statement of what publishing and adopting do.
+    #[must_use]
+    pub fn resolve(self, state: ForkState) -> Resolution {
+        match self {
+            ForkAction::ExtendPrivate => Resolution::Hold,
+            ForkAction::Adopt => Resolution::Public,
+            ForkAction::Publish if state.private > state.public => Resolution::Private,
+            ForkAction::Publish if state.private < state.public => Resolution::Public,
+            ForkAction::Publish if state.private > 0 => Resolution::Race,
+            ForkAction::Publish => Resolution::Hold,
+        }
+    }
+}
+
 /// Fork state visible to a [`Strategy`] when deciding, *after* the
 /// triggering block has been appended to its branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForkState {
-    /// Unpublished attacker blocks since the fork point.
+    /// Attacker blocks on the private branch since the fork point.
     pub private: u64,
     /// Honest blocks on the public branch since the fork point.
     pub public: u64,
@@ -240,61 +280,72 @@ impl Strategy for StakeGrinding {
     }
 }
 
-/// Fork-aware bookkeeping shared by the model-level driver
-/// ([`run_fork_game`]) and the [`Adversary`] protocol adapter: it tracks
-/// both branches, applies a strategy's actions, and emits settled
-/// main-chain block owners in chain order (orphaned blocks are never
+/// Fork-aware bookkeeping: it holds both branches since the fork point,
+/// settles them by [`ForkAction::resolve`] as a strategy acts, and emits
+/// settled main-chain blocks in chain order (orphaned blocks are never
 /// emitted — exactly the Eyal–Sirer revenue convention).
+///
+/// A branch holds whatever the caller calls a block: the owner's index in
+/// [`run_fork_game`] and the [`Adversary`] adapter, a real block in
+/// chain-sim's fork network. The caller says whether the strategic miner
+/// found each block.
 #[derive(Debug, Clone)]
-pub struct ForkMachine {
-    attacker: usize,
-    private: u64,
-    public_owners: Vec<usize>,
+pub struct ForkMachine<B = usize> {
+    private: Vec<B>,
+    public: Vec<B>,
     published: bool,
     tip_is_attacker: bool,
-    settled: VecDeque<usize>,
+    settled: VecDeque<B>,
 }
 
-impl ForkMachine {
-    /// Creates a machine with the strategic miner at index `attacker`.
-    #[must_use]
-    pub fn new(attacker: usize) -> Self {
+impl<B> Default for ForkMachine<B> {
+    /// A machine with no fork open.
+    fn default() -> Self {
         Self {
-            attacker,
-            private: 0,
-            public_owners: Vec::new(),
+            private: Vec::new(),
+            public: Vec::new(),
             published: false,
             tip_is_attacker: false,
             settled: VecDeque::new(),
         }
     }
+}
 
+impl<B> ForkMachine<B> {
     /// The fork state as seen by strategies.
     #[must_use]
     pub fn state(&self) -> ForkState {
         ForkState {
-            private: self.private,
-            public: self.public_owners.len() as u64,
+            private: self.private.len() as u64,
+            public: self.public.len() as u64,
             published: self.published,
         }
+    }
+
+    /// The attacker's branch since the fork point, oldest first.
+    #[must_use]
+    pub fn private_branch(&self) -> &[B] {
+        &self.private
+    }
+
+    /// The honest branch since the fork point, oldest first.
+    #[must_use]
+    pub fn public_branch(&self) -> &[B] {
+        &self.public
     }
 
     /// Whether an equal-length published tip race is in progress (honest
     /// power splits by γ).
     #[must_use]
     pub fn tie_race(&self) -> bool {
-        self.published && self.private > 0 && self.private == self.public_owners.len() as u64
+        self.published && !self.private.is_empty() && self.private.len() == self.public.len()
     }
 
     /// Whether the attacker authored the tip she currently mines on — the
     /// precondition for grinding the next lottery seed.
     #[must_use]
     pub fn attacker_controls_tip(&self) -> bool {
-        if self.private > 0 {
-            true
-        } else {
-            self.tip_is_attacker
-        }
+        !self.private.is_empty() || self.tip_is_attacker
     }
 
     /// Number of settled-but-unconsumed main-chain blocks.
@@ -303,139 +354,121 @@ impl ForkMachine {
         self.settled.len()
     }
 
-    /// Pops the next settled main-chain block owner, oldest first.
-    pub fn pop_settled(&mut self) -> Option<usize> {
+    /// Pops the next settled main-chain block, oldest first.
+    pub fn pop_settled(&mut self) -> Option<B> {
         self.settled.pop_front()
     }
 
-    /// Feeds one found block into the machine: `winner` found it;
-    /// `on_private_branch` says it extends the attacker's published tip
-    /// (only meaningful for honest winners during a
+    /// Feeds one found block into the machine: `by_attacker` says the
+    /// strategic miner found it; `on_private_branch` says an honest block
+    /// extends the attacker's published tip (only meaningful during a
     /// [`tie_race`](Self::tie_race)). The strategy is consulted and its
     /// action applied.
     pub fn on_block<S: Strategy + ?Sized>(
         &mut self,
         strategy: &S,
-        winner: usize,
+        block: B,
+        by_attacker: bool,
         on_private_branch: bool,
     ) {
-        if winner == self.attacker {
-            self.private += 1;
-            self.apply(strategy.decide(self.state(), ForkEvent::SelfBlock));
+        if by_attacker {
+            self.private.push(block);
+            self.act(strategy.decide(self.state(), ForkEvent::SelfBlock));
         } else if self.tie_race() && on_private_branch {
             // Honest power extended the attacker's published branch: her
             // blocks settle under the new honest tip, the public branch
             // since the fork point is orphaned.
-            for _ in 0..self.private {
-                self.settled.push_back(self.attacker);
-            }
-            self.settled.push_back(winner);
+            self.settled.extend(self.private.drain(..));
+            self.settled.push_back(block);
             self.reset(false);
         } else {
-            self.public_owners.push(winner);
-            self.apply(strategy.decide(self.state(), ForkEvent::PublicBlock));
+            self.public.push(block);
+            self.act(strategy.decide(self.state(), ForkEvent::PublicBlock));
         }
     }
 
     /// [`on_block`](Self::on_block), then [`pop_settled`](Self::pop_settled),
     /// without the queue's round trip in the common case: when no fork
-    /// is open and nothing waits, a lone block that the strategy
-    /// publishes (her own) or adopts (an honest one) settles straight to
-    /// the caller. Every other action takes `on_block`'s path. The
-    /// adversarial golden digests (`tests/adversary_ensemble_golden.rs`),
-    /// recorded when every block went through the queue, pin the two
-    /// paths alike.
+    /// is open and nothing waits, the strategy decides on the state the
+    /// block would leave, and a lone block that settles goes straight to
+    /// the caller without touching a branch. The adversarial golden
+    /// digests (`tests/adversary_ensemble_golden.rs`), recorded when every
+    /// block went through the queue, pin the two paths alike.
     pub(crate) fn on_block_pop<S: Strategy + ?Sized>(
         &mut self,
         strategy: &S,
-        winner: usize,
+        block: B,
+        by_attacker: bool,
         on_private: bool,
-    ) -> Option<usize> {
-        if self.private > 0 || !self.public_owners.is_empty() || !self.settled.is_empty() {
-            self.on_block(strategy, winner, on_private);
+    ) -> Option<B> {
+        if !self.private.is_empty() || !self.public.is_empty() || !self.settled.is_empty() {
+            self.on_block(strategy, block, by_attacker, on_private);
             return self.pop_settled();
         }
         // No fork is open, so no tie race either: `on_block`'s first or
-        // last branch.
-        let own = winner == self.attacker;
-        let event = if own {
-            self.private = 1;
-            ForkEvent::SelfBlock
+        // last branch, decided on the one-block branch it would leave.
+        let state = ForkState {
+            private: u64::from(by_attacker),
+            public: u64::from(!by_attacker),
+            published: false,
+        };
+        let (event, settles) = if by_attacker {
+            (ForkEvent::SelfBlock, Resolution::Private)
         } else {
-            self.public_owners.push(winner);
-            ForkEvent::PublicBlock
+            (ForkEvent::PublicBlock, Resolution::Public)
         };
-        let action = strategy.decide(self.state(), event);
-        // Her lone block settles if she publishes it; an honest one does
-        // unless she withholds against it (publishing nothing adopts it).
-        let settles = match action {
-            ForkAction::Publish => true,
-            ForkAction::Adopt => !own,
-            ForkAction::ExtendPrivate => false,
-        };
-        if settles {
-            self.reset(own);
-            return Some(winner);
+        let resolution = strategy.decide(state, event).resolve(state);
+        if resolution == settles {
+            self.tip_is_attacker = by_attacker;
+            return Some(block);
         }
-        self.apply(action);
+        if by_attacker {
+            self.private.push(block);
+        } else {
+            self.public.push(block);
+        }
+        self.apply(resolution);
         self.pop_settled()
     }
 
-    fn apply(&mut self, action: ForkAction) {
-        match action {
-            ForkAction::ExtendPrivate => {}
-            ForkAction::Adopt => self.adopt(),
-            ForkAction::Publish => {
-                let public = self.public_owners.len() as u64;
-                if self.private > public {
-                    // Longer private chain: the network reorgs onto it.
-                    for _ in 0..self.private {
-                        self.settled.push_back(self.attacker);
-                    }
-                    self.public_owners.clear();
-                    self.reset(true);
-                } else if self.private == public && self.private > 0 {
-                    // Equal length: open the tip race.
-                    self.published = true;
-                } else if self.private < public {
-                    // Publishing a shorter branch forfeits.
-                    self.adopt();
-                }
-                // private == public == 0: nothing to publish.
-            }
+    fn act(&mut self, action: ForkAction) {
+        self.apply(action.resolve(self.state()));
+    }
+
+    fn apply(&mut self, resolution: Resolution) {
+        match resolution {
+            Resolution::Hold => {}
+            Resolution::Race => self.published = true,
+            Resolution::Private => self.settle_private(),
+            Resolution::Public => self.settle_public(),
         }
     }
 
-    fn adopt(&mut self) {
-        let tip_attacker = self
-            .public_owners
-            .last()
-            .map_or(self.tip_is_attacker, |&w| w == self.attacker);
-        self.settled.extend(self.public_owners.drain(..));
-        self.reset(tip_attacker);
+    fn settle_private(&mut self) {
+        self.settled.extend(self.private.drain(..));
+        self.reset(true);
+    }
+
+    fn settle_public(&mut self) {
+        // Public blocks are honest: the tip is hers only if none came.
+        let tip_is_attacker = self.tip_is_attacker && self.public.is_empty();
+        self.settled.extend(self.public.drain(..));
+        self.reset(tip_is_attacker);
     }
 
     fn reset(&mut self, tip_is_attacker: bool) {
-        self.private = 0;
-        self.public_owners.clear();
+        self.private.clear();
+        self.public.clear();
         self.published = false;
         self.tip_is_attacker = tip_is_attacker;
     }
 
-    /// Ends the game: the strictly longer branch settles; an unresolved
-    /// equal-length race orphans both sides.
+    /// Ends the game as if the attacker published: the strictly longer
+    /// branch settles; an unresolved equal-length race orphans both sides.
     pub fn finalize(&mut self) {
-        let public = self.public_owners.len() as u64;
-        if self.private > public {
-            for _ in 0..self.private {
-                self.settled.push_back(self.attacker);
-            }
-            self.public_owners.clear();
-            self.reset(true);
-        } else if public > self.private {
-            self.adopt();
-        } else {
-            self.reset(self.tip_is_attacker);
+        match ForkAction::Publish.resolve(self.state()) {
+            Resolution::Hold | Resolution::Race => self.reset(self.tip_is_attacker),
+            settled => self.apply(settled),
         }
     }
 }
@@ -486,7 +519,7 @@ pub fn run_fork_game<S: Strategy + ?Sized>(
         (0.0..=1.0).contains(&alpha),
         "attacker share must be in [0, 1], got {alpha}"
     );
-    let mut machine = ForkMachine::new(0);
+    let mut machine = ForkMachine::default();
     let mut tally = RevenueTally::default();
     let drain = |machine: &mut ForkMachine, tally: &mut RevenueTally| {
         while let Some(owner) = machine.pop_settled() {
@@ -506,7 +539,12 @@ pub fn run_fork_game<S: Strategy + ?Sized>(
         } else {
             false
         };
-        machine.on_block(strategy, usize::from(!attacker_found), on_private);
+        machine.on_block(
+            strategy,
+            usize::from(!attacker_found),
+            attacker_found,
+            on_private,
+        );
         drain(&mut machine, &mut tally);
     }
     machine.finalize();
@@ -554,7 +592,7 @@ impl<P: IncentiveProtocol, S: Strategy> Adversary<P, S> {
     #[must_use]
     pub fn new(inner: P, strategy: S) -> Self {
         Self {
-            machine: ForkMachine::new(0),
+            machine: ForkMachine::default(),
             inner_out: StepOutcome::new(),
             inner_compounds: inner.rewards_compound(),
             inner,
@@ -660,9 +698,9 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Adversary<P, S> {
             } else {
                 false
             };
-            if let Some(owner) = self
-                .machine
-                .on_block_pop(&self.strategy, winner, on_private)
+            if let Some(owner) =
+                self.machine
+                    .on_block_pop(&self.strategy, winner, winner == 0, on_private)
             {
                 return out.set_winner(owner);
             }
@@ -682,10 +720,10 @@ mod tests {
 
     /// Replays a scripted event sequence and returns the settled owners.
     fn replay<S: Strategy>(strategy: &S, events: &[(usize, bool)]) -> Vec<usize> {
-        let mut m = ForkMachine::new(0);
+        let mut m = ForkMachine::default();
         let mut settled = Vec::new();
         for &(winner, on_private) in events {
-            m.on_block(strategy, winner, on_private);
+            m.on_block(strategy, winner, winner == 0, on_private);
             while let Some(o) = m.pop_settled() {
                 settled.push(o);
             }

@@ -63,8 +63,8 @@ pub mod trajectory;
 pub mod withholding;
 
 pub use adversary::{
-    run_fork_game, Adversary, ForkAction, ForkEvent, ForkMachine, ForkState, Honest, RevenueTally,
-    SelfishMining, StakeGrinding, Strategy,
+    run_fork_game, Adversary, ForkAction, ForkEvent, ForkMachine, ForkState, Honest, Resolution,
+    RevenueTally, SelfishMining, StakeGrinding, Strategy,
 };
 pub use decentralization::DecentralizationReport;
 pub use fairness::{

@@ -7,6 +7,8 @@
 //! with `a, h ≤ depth` — reached immediately after a block discovery.
 //! **Actions** are the three [`ForkAction`]s, offered in the fixed order
 //! extend-private / publish / adopt (the deterministic tie-break order).
+//! What an action settles is [`ForkAction::resolve`]'s answer, the rule
+//! the machine applies, so the table and the drivers cannot drift apart.
 //! **Events** follow the model-level driver: the attacker finds the next
 //! block with probability α; otherwise an honest block lands on the
 //! attacker's published tip with probability γ during an equal-length race
@@ -15,7 +17,8 @@
 //! **Truncation closure.** At the boundary the process is *forced* rather
 //! than cut: a self block that would push the lead past `depth`
 //! auto-publishes (settling the whole private branch — it is strictly
-//! longer), and an honest block past `depth` auto-adopts. Every policy
+//! longer), and an honest block past `depth` auto-adopts, both through
+//! `resolve`. Every policy
 //! therefore keeps settling blocks, which makes the chain unichain with a
 //! strictly positive total-settled gain — exactly what the ratio objective
 //! in [`super::solver::solve_ratio`] needs. [`OptimalWithholding`]'s
@@ -25,7 +28,7 @@
 //! [`OptimalWithholding`]: super::OptimalWithholding
 
 use super::solver::{solve_ratio, Mdp, MdpBuilder, Solution, Transition, ValueIteration};
-use crate::adversary::{ForkAction, ForkEvent, ForkState, Strategy};
+use crate::adversary::{ForkAction, ForkEvent, ForkState, Resolution, Strategy};
 
 /// The three fork actions in listing (= tie-break) order.
 pub const ACTIONS: [ForkAction; 3] = [
@@ -67,14 +70,6 @@ fn event_code(event: ForkEvent) -> usize {
         ForkEvent::SelfBlock => 0,
         ForkEvent::PublicBlock => 1,
     }
-}
-
-/// A stable fork configuration between block discoveries.
-#[derive(Debug, Clone, Copy)]
-struct Stable {
-    a: u64,
-    h: u64,
-    published: bool,
 }
 
 /// Value of a fixed policy on the fork MDP.
@@ -146,10 +141,15 @@ impl ForkMdp {
             depth,
             index: &index,
         };
-        for (s, &(a, h, published, _event)) in states.iter().enumerate() {
+        for (s, &(private, public, published, _event)) in states.iter().enumerate() {
+            let state = ForkState {
+                private,
+                public,
+                published,
+            };
             for (pos, &action) in ACTIONS.iter().enumerate() {
-                let (reward, stable) = this.apply(a, h, published, action);
-                let arcs = this.resolve(stable, reward);
+                let (reward, stable) = ForkMdpCtx::apply(state, action);
+                let arcs = this.discoveries(stable, reward);
                 builder.add_action(s, pos as u8, &arcs);
             }
         }
@@ -307,81 +307,55 @@ impl ForkMdpCtx<'_> {
         i as usize
     }
 
-    /// Applies an action to the post-event fork state, mirroring
-    /// `ForkMachine::apply` exactly: publish with a longer private branch
-    /// settles it all, at equal length it opens (or keeps) the tip race,
-    /// and a shorter publish forfeits like adopt. Adopt settles the
-    /// public branch (all honest) and abandons the private one. Returns
-    /// the settled `[attacker, total]` reward and the resulting stable
-    /// configuration.
-    fn apply(&self, a: u64, h: u64, published: bool, action: ForkAction) -> ([f64; 2], Stable) {
-        match action {
-            ForkAction::ExtendPrivate => ([0.0, 0.0], Stable { a, h, published }),
-            ForkAction::Adopt => (
-                [0.0, h as f64],
-                Stable {
-                    a: 0,
-                    h: 0,
-                    published: false,
+    /// Applies an action to the post-event fork state by
+    /// [`ForkAction::resolve`]. Returns the settled `[attacker, total]`
+    /// reward (the public branch is all honest) and the resulting stable
+    /// state.
+    fn apply(s: ForkState, action: ForkAction) -> ([f64; 2], ForkState) {
+        let empty = ForkState {
+            private: 0,
+            public: 0,
+            published: false,
+        };
+        match action.resolve(s) {
+            Resolution::Hold => ([0.0, 0.0], s),
+            Resolution::Race => (
+                [0.0, 0.0],
+                ForkState {
+                    published: true,
+                    ..s
                 },
             ),
-            ForkAction::Publish => {
-                if a > h {
-                    (
-                        [a as f64, a as f64],
-                        Stable {
-                            a: 0,
-                            h: 0,
-                            published: false,
-                        },
-                    )
-                } else if a == h && a > 0 {
-                    (
-                        [0.0, 0.0],
-                        Stable {
-                            a,
-                            h,
-                            published: true,
-                        },
-                    )
-                } else if a < h {
-                    // Publishing a shorter branch forfeits — same as adopt.
-                    (
-                        [0.0, h as f64],
-                        Stable {
-                            a: 0,
-                            h: 0,
-                            published: false,
-                        },
-                    )
-                } else {
-                    // a == h == 0: nothing to publish.
-                    ([0.0, 0.0], Stable { a, h, published })
-                }
-            }
+            Resolution::Private => ([s.private as f64, s.private as f64], empty),
+            Resolution::Public => ([0.0, s.public as f64], empty),
         }
     }
 
-    /// Enumerates the block-discovery outcomes from a stable
-    /// configuration, carrying `base` (the acting settle reward) on every
-    /// arc. Forced boundary settles and the γ race resolution pass
-    /// through the empty fork `(0, 0)` and on to its next decision state,
-    /// so every arc ends at a decision state.
-    fn resolve(&self, s: Stable, base: [f64; 2]) -> Vec<Transition> {
+    /// Enumerates the block-discovery outcomes from a stable fork state,
+    /// carrying `base` (the acting settle reward) on every arc. Forced
+    /// boundary settles and the γ race resolution pass through the empty
+    /// fork `(0, 0)` and on to its next decision state, so every arc ends
+    /// at a decision state.
+    fn discoveries(&self, s: ForkState, base: [f64; 2]) -> Vec<Transition> {
         let mut arcs = Vec::with_capacity(6);
         let alpha = self.alpha;
-        let tie = s.published && s.a > 0 && s.a == s.h;
+        let tie = s.published && s.private > 0 && s.private == s.public;
         let race = if tie { (1.0 - alpha) * self.gamma } else { 0.0 };
+        // A forced settle: `action` on the state past the boundary.
+        let forced = |past: ForkState, action| {
+            let (reward, _) = Self::apply(past, action);
+            [base[0] + reward[0], base[1] + reward[1]]
+        };
 
         // Attacker finds the next block.
-        let a2 = s.a + 1;
+        let a2 = s.private + 1;
         if a2 > u64::from(self.depth) {
             // Forced publish: the private branch (a2 > h) settles whole.
-            let reward = [base[0] + a2 as f64, base[1] + a2 as f64];
+            let reward = forced(ForkState { private: a2, ..s }, ForkAction::Publish);
             self.restart(alpha, reward, &mut arcs);
         } else {
             arcs.push(Transition {
-                next: self.compact(a2, s.h, s.published, 0),
+                next: self.compact(a2, s.public, s.published, 0),
                 prob: alpha,
                 reward: base,
             });
@@ -390,20 +364,21 @@ impl ForkMdpCtx<'_> {
         // During an equal-length race: honest power on the attacker's tip
         // settles her branch plus the new honest block, no decision.
         if race > 0.0 {
-            let reward = [base[0] + s.a as f64, base[1] + s.a as f64 + 1.0];
+            let won = s.private as f64;
+            let reward = [base[0] + won, base[1] + won + 1.0];
             self.restart(race, reward, &mut arcs);
         }
 
         // An honest block extends the public branch.
         let public = (1.0 - alpha) - race;
-        let h2 = s.h + 1;
+        let h2 = s.public + 1;
         if h2 > u64::from(self.depth) {
             // Forced adopt: the public branch settles, private forfeits.
-            let reward = [base[0], base[1] + h2 as f64];
+            let reward = forced(ForkState { public: h2, ..s }, ForkAction::Adopt);
             self.restart(public, reward, &mut arcs);
         } else {
             arcs.push(Transition {
-                next: self.compact(s.a, h2, s.published, 1),
+                next: self.compact(s.private, h2, s.published, 1),
                 prob: public,
                 reward: base,
             });
