@@ -439,15 +439,12 @@ mod tests {
 
     #[test]
     fn solve_cache_memoizes_by_content() {
-        let before = solve_cache().misses();
+        // Other tests solve concurrently, so the cache's global miss count
+        // says nothing here: a hit hands back the stored `Arc` itself.
         let a = solve_optimal(0.31, 0.25, 8);
         let b = solve_optimal(0.31, 0.25, 8);
         assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(
-            solve_cache().misses(),
-            before + 1,
-            "second solve must be a cache hit"
-        );
+        assert!(Arc::ptr_eq(&a, &b), "second solve must be a cache hit");
         let c = solve_optimal(0.31, 0.25, 9);
         assert_ne!(a.fingerprint, c.fingerprint, "depth must move the key");
     }
