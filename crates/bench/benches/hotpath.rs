@@ -60,12 +60,12 @@ fn bench_steps(c: &mut Criterion) {
     bench_game(c, "c-pos", CPos::new(0.01, 0.1, 1), &ten);
     bench_game(c, "algorand", Algorand::new(0.1), &ten);
     bench_game(c, "eos", Eos::new(0.01, 0.1), &ten);
-    // The registry path every figure actually takes: a type-erased box
-    // around the hottest protocol. The inline fast path should keep this
-    // within noise of the concrete version above.
+    // The registry path every figure takes: a type-erased box, one
+    // virtual call per step. ML-PoS steps through it; bare SL-PoS would
+    // not, because the game runs its fused kernel instead.
     let boxed: BoxedProtocol =
-        construct(&ProtocolSpec::new("sl-pos").with("w", 0.01), &two).expect("constructs");
-    bench_game(c, "sl-pos-boxed", boxed, &two);
+        construct(&ProtocolSpec::new("ml-pos").with("w", 0.01), &two).expect("constructs");
+    bench_game(c, "ml-pos-boxed", boxed, &two);
     bench_adversaries(c);
 }
 

@@ -24,7 +24,6 @@ use crate::redistribution::{Alleviation, ClusterTax, FeeLottery, Sybil, SybilSpl
 use crate::scenario::{ArgValue, ProtocolSpec};
 use crate::strategies::{CashOut, MiningPool};
 use fairness_stats::rng::Xoshiro256StarStar;
-use std::any::Any;
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -45,94 +44,51 @@ impl<P: IncentiveProtocol + Clone + 'static> CloneProtocol for P {
     }
 }
 
-/// Inline stepping fast path for the hottest closed-form protocols.
-///
-/// A `BoxedProtocol` pays one virtual call per step, which also blocks
-/// the compiler from fusing the protocol's draw loop with the game loop —
-/// measurable at 10⁸–10⁹ steps per sweep. For the small `Copy` protocols
-/// that dominate the paper's grids, the box also keeps an inline copy and
-/// [`BoxedProtocol::step_into`] dispatches on one predictable branch
-/// instead, so `MiningGame<BoxedProtocol>` monomorphizes the whole hot
-/// loop. The copy is made from the same constructed value, so the step
-/// distribution is identical either way.
-#[derive(Debug, Clone, Copy)]
-enum FastStep {
-    None,
-    SlPos(SlPos),
-    FslPos(FslPos),
-    MlPos(MlPos),
-}
-
-impl FastStep {
-    fn of<P: IncentiveProtocol + Clone + 'static>(protocol: &P) -> Self {
-        let any: &dyn Any = protocol;
-        if let Some(p) = any.downcast_ref::<SlPos>() {
-            FastStep::SlPos(*p)
-        } else if let Some(p) = any.downcast_ref::<FslPos>() {
-            FastStep::FslPos(*p)
-        } else if let Some(p) = any.downcast_ref::<MlPos>() {
-            FastStep::MlPos(*p)
-        } else {
-            FastStep::None
-        }
-    }
-}
-
 /// A clonable, type-erased [`IncentiveProtocol`] — what
 /// [`construct`] returns. Transparent: every trait method delegates to the
 /// wrapped protocol, so labels, parameter fingerprints and step
 /// distributions are exactly the wrapped value's.
-pub struct BoxedProtocol {
-    inner: Box<dyn CloneProtocol>,
-    fast: FastStep,
-}
+pub struct BoxedProtocol(Box<dyn CloneProtocol>);
 
 impl BoxedProtocol {
     /// Wraps a concrete protocol value.
     #[must_use]
     pub fn new<P: IncentiveProtocol + Clone + 'static>(protocol: P) -> Self {
-        let fast = FastStep::of(&protocol);
-        Self {
-            inner: Box::new(protocol),
-            fast,
-        }
+        Self(Box::new(protocol))
     }
 }
 
 impl Clone for BoxedProtocol {
     fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone_box(),
-            fast: self.fast,
-        }
+        Self(self.0.clone_box())
     }
 }
 
 impl fmt::Debug for BoxedProtocol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BoxedProtocol({})", self.inner.label())
+        write!(f, "BoxedProtocol({})", self.0.label())
     }
 }
 
 impl IncentiveProtocol for BoxedProtocol {
     fn name(&self) -> &'static str {
-        self.inner.name()
+        self.0.name()
     }
 
     fn label(&self) -> String {
-        self.inner.label()
+        self.0.label()
     }
 
     fn reward_per_step(&self) -> f64 {
-        self.inner.reward_per_step()
+        self.0.reward_per_step()
     }
 
     fn rewards_compound(&self) -> bool {
-        self.inner.rewards_compound()
+        self.0.rewards_compound()
     }
 
     fn params(&self) -> Vec<f64> {
-        self.inner.params()
+        self.0.params()
     }
 
     #[inline]
@@ -143,16 +99,11 @@ impl IncentiveProtocol for BoxedProtocol {
         rng: &mut Xoshiro256StarStar,
         out: &mut StepOutcome,
     ) {
-        match &mut self.fast {
-            FastStep::SlPos(p) => p.step_into(stakes, step_index, rng, out),
-            FastStep::FslPos(p) => p.step_into(stakes, step_index, rng, out),
-            FastStep::MlPos(p) => p.step_into(stakes, step_index, rng, out),
-            FastStep::None => self.inner.step_into(stakes, step_index, rng, out),
-        }
+        self.0.step_into(stakes, step_index, rng, out);
     }
 
     fn slpos_core_reward(&self) -> Option<f64> {
-        self.inner.slpos_core_reward()
+        self.0.slpos_core_reward()
     }
 }
 
