@@ -10,9 +10,9 @@
 //! [`crate::pool::JobPool`] — so any spec run is bit-identical for every
 //! `--jobs` level, exactly like the built-in figures.
 
-use crate::experiments::common::band_rows;
+use crate::experiments::common::{band_rows, render_band_table};
 use crate::experiments::diskcache;
-use crate::report::{fmt4, write_csv, TextTable};
+use crate::report::{fmt4, write_csv};
 use crate::service::{ProgressEvent, SweepSession};
 use chain_sim::{run_experiment, ExperimentConfig, ProtocolKind};
 use fairness_core::fairness::EpsilonDelta;
@@ -473,18 +473,7 @@ pub fn scenario_report(
             outcome.summary.repetitions,
             path.display()
         );
-        let mut t = TextTable::new(vec!["n", "mean", "p05", "p95", "unfair"]);
-        let step = (outcome.summary.points.len() / 6).max(1);
-        for p in outcome.summary.points.iter().step_by(step) {
-            t.row(vec![
-                p.n.to_string(),
-                fmt4(p.mean),
-                fmt4(p.p05),
-                fmt4(p.p95),
-                fmt4(p.unfair_probability),
-            ]);
-        }
-        out.push_str(&t.render());
+        out.push_str(&render_band_table(&outcome.summary, 6));
         let _ = writeln!(
             out,
             "final: mean={} band=[{}, {}] unfair={}  fingerprint: {:016x}",
