@@ -371,9 +371,9 @@ impl<B> ForkMachine<B> {
         by_attacker: bool,
         on_private_branch: bool,
     ) {
-        if by_attacker {
+        let event = if by_attacker {
             self.private.push(block);
-            self.act(strategy.decide(self.state(), ForkEvent::SelfBlock));
+            ForkEvent::SelfBlock
         } else if self.tie_race() && on_private_branch {
             // Honest power extended the attacker's published branch: her
             // blocks settle under the new honest tip, the public branch
@@ -381,10 +381,13 @@ impl<B> ForkMachine<B> {
             self.settled.extend(self.private.drain(..));
             self.settled.push_back(block);
             self.reset(false);
+            return;
         } else {
             self.public.push(block);
-            self.act(strategy.decide(self.state(), ForkEvent::PublicBlock));
-        }
+            ForkEvent::PublicBlock
+        };
+        let state = self.state();
+        self.apply(strategy.decide(state, event).resolve(state));
     }
 
     /// [`on_block`](Self::on_block), then [`pop_settled`](Self::pop_settled),
@@ -431,29 +434,22 @@ impl<B> ForkMachine<B> {
         self.pop_settled()
     }
 
-    fn act(&mut self, action: ForkAction) {
-        self.apply(action.resolve(self.state()));
-    }
-
     fn apply(&mut self, resolution: Resolution) {
         match resolution {
             Resolution::Hold => {}
             Resolution::Race => self.published = true,
-            Resolution::Private => self.settle_private(),
-            Resolution::Public => self.settle_public(),
+            Resolution::Private => {
+                self.settled.extend(self.private.drain(..));
+                self.reset(true);
+            }
+            Resolution::Public => {
+                // Public blocks are honest: the tip is hers only if none
+                // came.
+                let tip_is_attacker = self.tip_is_attacker && self.public.is_empty();
+                self.settled.extend(self.public.drain(..));
+                self.reset(tip_is_attacker);
+            }
         }
-    }
-
-    fn settle_private(&mut self) {
-        self.settled.extend(self.private.drain(..));
-        self.reset(true);
-    }
-
-    fn settle_public(&mut self) {
-        // Public blocks are honest: the tip is hers only if none came.
-        let tip_is_attacker = self.tip_is_attacker && self.public.is_empty();
-        self.settled.extend(self.public.drain(..));
-        self.reset(tip_is_attacker);
     }
 
     fn reset(&mut self, tip_is_attacker: bool) {
