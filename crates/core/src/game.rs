@@ -847,7 +847,7 @@ mod tests {
         // segment lists of `race_kernel_matches_single_steps`: each lane
         // must end where its game's own `run` does.
         let available = lanes::available();
-        for m in [2usize, 3, 5, 10, 40] {
+        for m in [2usize, 3, 4, 5, 10, 40] {
             let shares = crate::miner::paper_multi_miner(m, 0.2);
             for count in 1..=LANES {
                 let games = vec![MiningGame::new(SlPos::new(0.01), &shares); count];

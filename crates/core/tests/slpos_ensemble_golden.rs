@@ -9,6 +9,8 @@
 //! ensemble per miner count m ∈ {2, 3, 5, 10, 40} and repetition count
 //! ∈ {10, 24}, so any change to how the game is stepped, which stream a
 //! repetition draws from, or where a settled probe stops moves a digest.
+//! m = 4 has a digest of its own, recorded after the others: a grid cell
+//! and a settled probe, the lane kernel's four-miner columns.
 //! Regenerate ONLY for a deliberate change of the simulation's semantics.
 
 use fairness_core::miner::paper_multi_miner;
@@ -85,4 +87,25 @@ fn settled_probe_ensembles_match_golden_digest() {
         got, 0xc839_672a_6502_ab92,
         "settled-probe digest {got:#018x}"
     );
+}
+
+#[test]
+fn four_miner_ensembles_match_golden_digest() {
+    // Table 1's m = 4 cell over its checkpoints, and the bisection's
+    // first probe share against three equal opponents.
+    let mut h = StableHasher::new();
+    for reps in REPETITIONS {
+        let cfg = config(paper_multi_miner(4, 0.2), log_checkpoints(100_000, 4), reps);
+        absorb(&mut h, &run_ensemble(&SlPos::new(0.01), &cfg));
+        let probe = config(
+            vec![0.5, 0.5 / 3.0, 0.5 / 3.0, 0.5 / 3.0],
+            vec![50_000],
+            reps,
+        );
+        let summary = run_ensemble_settled(&SlPos::new(0.01), &probe);
+        assert!(summary.repetitions >= 1 && summary.repetitions <= reps);
+        absorb(&mut h, &summary);
+    }
+    let got = h.finish();
+    assert_eq!(got, 0x15d8_242a_7a9a_b957, "four-miner digest {got:#018x}");
 }
