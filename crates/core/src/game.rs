@@ -356,23 +356,30 @@ impl<P: IncentiveProtocol> MiningGame<P> {
     /// On an AVX-512F+DQ host, games the fused SL-PoS kernels may run
     /// (bare SL-PoS, no withholding, every stake positive) with 2 to 64
     /// miners step [`LANES`] at a time in lockstep, one game per vector
-    /// lane, when they all share one miner count and one step count. Each
-    /// lane keeps its own generator and does the scalar race's exact
-    /// arithmetic, so stakes, incomes, step counts and generators end
-    /// bit-identical to per-game `run`. A group of fewer than three games
-    /// (the tail of a batch) runs per game: one game always steps faster
-    /// alone than a full vector does, and two about as fast or faster
-    /// (measured at m = 2 to 40). Other batches, and every batch on
-    /// another host, run per game too.
+    /// lane, when they all share one miner count and one step count and
+    /// stay in the kernel's range for `n` steps (every stake at least
+    /// 2⁻⁵⁰⁰, and at most 2⁵⁰⁰ once `n` rewards are added). Each lane
+    /// keeps its own generator and picks the scalar race's winner, so
+    /// stakes, incomes, step counts and generators end bit-identical to
+    /// per-game `run`. A group of one game (the tail of a batch) runs per
+    /// game, and so does a group of two above five miners: one game
+    /// always steps faster alone than a full vector does, and two step
+    /// faster in lanes only while the kernel keeps their columns in
+    /// registers. Other batches, and every batch on another host, run
+    /// per game too.
     ///
     /// # Panics
     /// Panics if `games` and `rngs` differ in length.
     pub fn run_batch(games: &mut [Self], n: u64, rngs: &mut [Xoshiro256StarStar]) -> usize {
         assert_eq!(games.len(), rngs.len(), "one generator per game");
-        let fit = n > 0 && lanes::available() && Self::lanes_fit(games);
+        let fit = n > 0 && lanes::available() && Self::lanes_fit(games, n);
+        let fewest = match games.first() {
+            Some(g) if g.ledger.len() <= lanes::REGISTER_MINERS => 2,
+            _ => 3,
+        };
         let mut in_lanes = 0;
         for (games, rngs) in games.chunks_mut(LANES).zip(rngs.chunks_mut(LANES)) {
-            if fit && games.len() >= 3 {
+            if fit && games.len() >= fewest {
                 Self::run_lanes(games, n, rngs);
                 in_lanes += games.len();
             } else {
@@ -394,14 +401,16 @@ impl<P: IncentiveProtocol> MiningGame<P> {
         }
     }
 
-    /// Whether a non-empty batch may step in lanes: every game may, and
-    /// all share the first one's miner count and step count.
-    fn lanes_fit(games: &[Self]) -> bool {
+    /// Whether a non-empty batch may take `n` steps in lanes: every game
+    /// may and stays in the kernel's range, and all share the first one's
+    /// miner count and step count.
+    fn lanes_fit(games: &[Self], n: u64) -> bool {
         let Some(first) = games.first() else {
             return false;
         };
         games.iter().all(|g| {
-            g.lane_reward().is_some()
+            g.lane_reward()
+                .is_some_and(|w| lanes::in_range(g.stakes().iter().copied(), w, n))
                 && g.ledger.len() == first.ledger.len()
                 && g.steps == first.steps
         })
@@ -858,13 +867,18 @@ mod tests {
                         segments,
                         &format!("m={m}, {count} games"),
                     );
-                    let want = if available && count >= 3 { count } else { 0 };
+                    let fewest = if m <= 5 { 2 } else { 3 };
+                    let want = if available && count >= fewest {
+                        count
+                    } else {
+                        0
+                    };
                     assert_eq!(in_lanes, want, "m={m}, {count} games");
                 }
             }
         }
         let path = if available {
-            "the lane kernel from three games up, per-game runs below"
+            "the lane kernel from two games up at m ≤ 5 and three above, per-game runs below"
         } else {
             "per-game runs (no AVX-512F+DQ on this host)"
         };
@@ -875,9 +889,9 @@ mod tests {
     fn lane_batches_wider_than_a_vector_step_in_chunks() {
         let available = lanes::available();
         let shares = [0.2, 0.3, 0.5];
-        // 19 = 8 + 8 + 3 games all step in lanes; 17 = 8 + 8 + 1 leaves
+        // 18 = 8 + 8 + 2 games all step in lanes; 17 = 8 + 8 + 1 leaves
         // the last game to its own `run`.
-        for (count, want) in [(19, 19), (17, 16)] {
+        for (count, want) in [(18, 18), (17, 16)] {
             let games = vec![MiningGame::new(SlPos::new(0.01), &shares); count];
             let in_lanes = assert_batch_matches_runs(&games, &[5, 40], &format!("{count} games"));
             assert_eq!(in_lanes, if available { want } else { 0 });
@@ -922,6 +936,29 @@ mod tests {
         let mut games = vec![sl(&five); 8];
         let mut rngs = vec![Xoshiro256StarStar::new(3); 8];
         assert_eq!(MiningGame::run_batch(&mut games, 0, &mut rngs), 0);
+    }
+
+    #[test]
+    fn lane_range_guard_sends_extreme_stakes_per_game() {
+        let tiny = f64::from_bits((1023 - 500) << 52); // 2⁻⁵⁰⁰
+        let huge = f64::from_bits((1023 + 490) << 52); // 2⁴⁹⁰
+        let in_lanes = if lanes::available() { 8 } else { 0 };
+        let cases = [
+            // The smallest stake admitted, and one just below it.
+            ("a stake of 2⁻⁵⁰⁰", 0.01, tiny, &[7u64, 64][..], in_lanes),
+            ("a stake below 2⁻⁵⁰⁰", 0.01, tiny / 2.0, &[7, 64], 0),
+            // A reward of 2⁴⁹⁰ keeps every stake at most 2⁵⁰⁰ for 1000
+            // steps, not for 2000.
+            ("stakes below 2⁵⁰⁰", huge, 0.25, &[7, 993], in_lanes),
+            ("stakes past 2⁵⁰⁰", huge, 0.25, &[2000], 0),
+        ];
+        for (what, w, first, segments, want) in cases {
+            let shares = [first, 0.5, 0.5 - first];
+            let games = vec![MiningGame::new(SlPos::new(w), &shares); 8];
+            assert_eq!(games[0].stake(0), first, "{what}");
+            let got = assert_batch_matches_runs(&games, segments, what);
+            assert_eq!(got, want, "{what}");
+        }
     }
 
     #[test]
