@@ -362,24 +362,20 @@ impl<P: IncentiveProtocol> MiningGame<P> {
     /// keeps its own generator and picks the scalar race's winner, so
     /// stakes, incomes, step counts and generators end bit-identical to
     /// per-game `run`. A group of one game (the tail of a batch) runs per
-    /// game, and so does a group of two above five miners: one game
+    /// game, and so does a group of two outside m = 3 to 5: one game
     /// always steps faster alone than a full vector does, and two step
-    /// faster in lanes only while the kernel keeps their columns in
-    /// registers. Other batches, and every batch on another host, run
-    /// per game too.
+    /// faster in lanes only where the scalar race is slowest and the
+    /// kernel keeps their columns in registers. Other batches, and every
+    /// batch on another host, run per game too.
     ///
     /// # Panics
     /// Panics if `games` and `rngs` differ in length.
     pub fn run_batch(games: &mut [Self], n: u64, rngs: &mut [Xoshiro256StarStar]) -> usize {
         assert_eq!(games.len(), rngs.len(), "one generator per game");
         let fit = n > 0 && lanes::available() && Self::lanes_fit(games, n);
-        let fewest = match games.first() {
-            Some(g) if g.ledger.len() <= lanes::REGISTER_MINERS => 2,
-            _ => 3,
-        };
         let mut in_lanes = 0;
         for (games, rngs) in games.chunks_mut(LANES).zip(rngs.chunks_mut(LANES)) {
-            if fit && games.len() >= fewest {
+            if fit && games.len() >= lanes::fewest_games(games[0].ledger.len()) {
                 Self::run_lanes(games, n, rngs);
                 in_lanes += games.len();
             } else {
@@ -867,7 +863,7 @@ mod tests {
                         segments,
                         &format!("m={m}, {count} games"),
                     );
-                    let fewest = if m <= 5 { 2 } else { 3 };
+                    let fewest = if (3..=5).contains(&m) { 2 } else { 3 };
                     let want = if available && count >= fewest {
                         count
                     } else {
@@ -878,7 +874,7 @@ mod tests {
             }
         }
         let path = if available {
-            "the lane kernel from two games up at m ≤ 5 and three above, per-game runs below"
+            "the lane kernel from two games up at m = 3 to 5 and three elsewhere, per-game runs below"
         } else {
             "per-game runs (no AVX-512F+DQ on this host)"
         };
@@ -889,9 +885,9 @@ mod tests {
     fn lane_batches_wider_than_a_vector_step_in_chunks() {
         let available = lanes::available();
         let shares = [0.2, 0.3, 0.5];
-        // 18 = 8 + 8 + 2 games all step in lanes; 17 = 8 + 8 + 1 leaves
-        // the last game to its own `run`.
-        for (count, want) in [(18, 18), (17, 16)] {
+        // 19 = 8 + 8 + 3 and, at m = 3, 18 = 8 + 8 + 2 games all step in
+        // lanes; 17 = 8 + 8 + 1 leaves the last game to its own `run`.
+        for (count, want) in [(19, 19), (18, 18), (17, 16)] {
             let games = vec![MiningGame::new(SlPos::new(0.01), &shares); count];
             let in_lanes = assert_batch_matches_runs(&games, &[5, 40], &format!("{count} games"));
             assert_eq!(in_lanes, if available { want } else { 0 });

@@ -75,10 +75,18 @@ pub const LANES: usize = 8;
 /// segment.
 pub(super) const MAX_MINERS: usize = 64;
 
-/// The most miners whose columns the kernel keeps in registers (Table
-/// 1's m ≤ 5). Up to here two games step faster in lanes than alone;
-/// past it, where the columns live in memory, they do not.
-pub(super) const REGISTER_MINERS: usize = 5;
+/// The fewest `miners`-miner games that step faster in lanes than
+/// alone: two where the scalar race is slowest against a kernel that
+/// keeps the columns in registers (m = 3 to 5), three elsewhere. At
+/// m = 2 the scalar two-miner kernel steps a pair about as fast, and
+/// above five miners, where the columns live in memory, faster.
+pub(super) fn fewest_games(miners: usize) -> usize {
+    if (3..=5).contains(&miners) {
+        2
+    } else {
+        3
+    }
+}
 
 /// The smallest stake the kernel admits: 2⁻⁵⁰⁰.
 const MIN_STAKE: f64 = f64::from_bits((1023 - 500) << 52);
@@ -241,8 +249,8 @@ mod avx512 {
     /// features (see [`available`]).
     #[target_feature(enable = "avx512f,avx512dq")]
     pub(super) unsafe fn run(batch: &mut Batch, n: u64) {
-        // Up to `REGISTER_MINERS` the columns stay in registers and the
-        // miner loops unroll.
+        // Up to five miners (Table 1's m ≤ 5) the columns stay in
+        // registers and the miner loops unroll.
         match batch.miners {
             2 => run_columns::<2>(batch, n),
             3 => run_columns::<3>(batch, n),
