@@ -108,20 +108,27 @@ fn bench_adversaries(c: &mut Criterion) {
 /// Steps [`LANES`] bare SL-PoS games 64 steps each per bench iteration
 /// through `MiningGame::run_batch` (the lane kernel on AVX-512F+DQ hosts,
 /// per-game runs elsewhere): divide by 8 × 64 for nanoseconds per step
-/// per repetition, beside `step/sl-pos/*`'s per 64 steps.
+/// per repetition, beside `step/sl-pos/*`'s per 64 steps. The
+/// `sl-pos-pair` rows step two games, a 10-repetition ensemble's tail
+/// (÷ 2 × 64): in lanes at m = 3, per game at m = 2 and 10.
 fn bench_lanes(c: &mut Criterion) {
     let mut group = c.benchmark_group("lanes");
-    for m in [2, 3, 10] {
-        let shares = paper_multi_miner(m, A_DEFAULT);
-        let mut games = vec![MiningGame::new(SlPos::new(W_DEFAULT), &shares); LANES];
-        let mut rngs: Vec<_> = (0..LANES as u64).map(Xoshiro256StarStar::new).collect();
-        MiningGame::run_batch(&mut games, 64, &mut rngs);
-        group.bench_function(BenchmarkId::new("sl-pos", m), |b| {
-            b.iter(|| {
-                MiningGame::run_batch(&mut games, 64, &mut rngs);
-                black_box(games[0].steps())
+    for (name, count, miners) in [
+        ("sl-pos", LANES, &[2, 3, 4, 5, 10][..]),
+        ("sl-pos-pair", 2, &[2, 3, 10]),
+    ] {
+        for &m in miners {
+            let shares = paper_multi_miner(m, A_DEFAULT);
+            let mut games = vec![MiningGame::new(SlPos::new(W_DEFAULT), &shares); count];
+            let mut rngs: Vec<_> = (0..count as u64).map(Xoshiro256StarStar::new).collect();
+            MiningGame::run_batch(&mut games, 64, &mut rngs);
+            group.bench_function(BenchmarkId::new(name, m), |b| {
+                b.iter(|| {
+                    MiningGame::run_batch(&mut games, 64, &mut rngs);
+                    black_box(games[0].steps())
+                });
             });
-        });
+        }
     }
     group.finish();
 }
