@@ -76,10 +76,10 @@ pub const LANES: usize = 8;
 pub(super) const MAX_MINERS: usize = 64;
 
 /// The fewest `miners`-miner games that step faster in lanes than
-/// alone: two where the scalar race is slowest against a kernel that
-/// keeps the columns in registers (m = 3 to 5), three elsewhere. At
-/// m = 2 the scalar two-miner kernel steps a pair about as fast, and
-/// above five miners, where the columns live in memory, faster.
+/// alone: two at m = 3 to 5, where the scalar race kernel is slowest and
+/// the lane columns stay in registers, and three elsewhere. At m = 2 the
+/// two-miner kernel steps a pair about as fast alone, and above five
+/// miners, where the lane columns live in memory, faster.
 pub(super) fn fewest_games(miners: usize) -> usize {
     if (3..=5).contains(&miners) {
         2
@@ -267,7 +267,7 @@ mod avx512 {
     fn run_columns<const M: usize>(batch: &mut Batch, n: u64) {
         // A constant below `MAX_MINERS`, so the miner loops unroll.
         let miners = if M < MAX_MINERS { M } else { batch.miners };
-        assert_eq!(miners, batch.miners, "{M} columns");
+        assert_eq!(miners, batch.miners, "{M} columns hold exactly {M} miners");
         let mut stakes = [_mm512_setzero_pd(); M];
         let mut earned = [_mm512_setzero_pd(); M];
         for (v, column) in stakes.iter_mut().zip(&batch.stakes[..miners]) {
