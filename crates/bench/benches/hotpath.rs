@@ -69,19 +69,32 @@ fn bench_steps(c: &mut Criterion) {
     bench_adversaries(c);
 }
 
-/// Registry-built `adversary(inner, strategy)` adapters at two miners,
-/// the path `repro` and the daemon take, beside `step/pow/2` for the bare
-/// protocol the PoW rows wrap.
+/// Registry-built `adversary(inner, strategy)` adapters, the path `repro`
+/// and the daemon take, beside `step/pow/2` for the bare protocol the PoW
+/// rows wrap. The PoW rows settle each 64-step segment in one
+/// `run_segment` call; `adversary-grinding` (over compounding SL-PoS)
+/// steps one block at a time. `adversary-selfish/3` keeps its fork in a
+/// `ForkMachine` rather than as two-miner lengths. Host speed drifts
+/// between runs and builds: compare each row's ratio to `step/eos/10`, a
+/// draw-free row, of the same run.
 fn bench_adversaries(c: &mut Criterion) {
-    let shares = two_miner(0.3);
+    let two = two_miner(0.3);
     let pow = || ProtocolSpec::new("pow").with("w", 0.01);
-    bench_game(c, "pow", Pow::new(&shares, 0.01), &shares);
-    for (name, inner, strategy) in [
-        ("adversary-honest", pow(), ProtocolSpec::new("honest")),
+    let selfish = || ProtocolSpec::new("selfish-mining").with("gamma", 0.5);
+    bench_game(c, "pow", Pow::new(&two, 0.01), &two);
+    for (name, inner, strategy, shares) in [
+        (
+            "adversary-honest",
+            pow(),
+            ProtocolSpec::new("honest"),
+            two.clone(),
+        ),
+        ("adversary-selfish", pow(), selfish(), two.clone()),
         (
             "adversary-selfish",
             pow(),
-            ProtocolSpec::new("selfish-mining").with("gamma", 0.5),
+            selfish(),
+            paper_multi_miner(3, 0.3),
         ),
         (
             "adversary-owd",
@@ -90,11 +103,13 @@ fn bench_adversaries(c: &mut Criterion) {
                 .with("alpha", 0.3)
                 .with("gamma", 0.5)
                 .with("depth", 16.0),
+            two.clone(),
         ),
         (
             "adversary-grinding",
             ProtocolSpec::new("sl-pos").with("w", 0.01),
             ProtocolSpec::new("stake-grinding").with("tries", 4.0),
+            two.clone(),
         ),
     ] {
         let spec = ProtocolSpec::new("adversary")

@@ -29,8 +29,9 @@
 //! the same `resolve`, so the optimal-withholding policy is solved for
 //! exactly the rules the drivers play.
 
-use crate::protocol::{protocol_tag, IncentiveProtocol, StepOutcome, StepRewardsView};
+use crate::protocol::{protocol_tag, IncentiveProtocol, StepLaw, StepOutcome, StepRewardsView};
 use fairness_stats::rng::Xoshiro256StarStar;
+use fairness_stats::sampling::FenwickSampler;
 use std::collections::VecDeque;
 
 /// What a strategic miner just observed (the triggering block is already
@@ -91,8 +92,9 @@ impl ForkAction {
 }
 
 /// Fork state visible to a [`Strategy`] when deciding, *after* the
-/// triggering block has been appended to its branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// triggering block has been appended to its branch. The default is the
+/// unforked state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForkState {
     /// Attacker blocks on the private branch since the fork point.
     pub private: u64,
@@ -280,6 +282,121 @@ impl Strategy for StakeGrinding {
     }
 }
 
+/// A fork's shape without its blocks: the branch lengths and flags, and
+/// every transition of them. [`ForkMachine`] keeps its branches beside a
+/// shape and moves blocks as the shape's [`on_block`](Self::on_block)
+/// reports; the [`Adversary`] adapter at two miners keeps only a shape
+/// and counts (see [`TwoMinerFork`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ForkShape {
+    state: ForkState,
+    tip_is_attacker: bool,
+}
+
+/// What one found block did to a fork, as [`ForkShape::on_block`]
+/// reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Landing {
+    /// The block joined the private branch: it is the attacker's, or an
+    /// honest block on her published tip.
+    private: bool,
+    /// [`Resolution::Private`] or [`Resolution::Public`] settles that
+    /// branch, the block included if it joined it, and orphans the other;
+    /// [`Resolution::Hold`] and [`Resolution::Race`] settle nothing.
+    settled: Resolution,
+    /// How many blocks settled.
+    len: u64,
+}
+
+impl ForkShape {
+    fn tie_race(&self) -> bool {
+        self.state.published && self.state.private > 0 && self.state.private == self.state.public
+    }
+
+    fn attacker_controls_tip(&self) -> bool {
+        self.state.private > 0 || self.tip_is_attacker
+    }
+
+    /// Records one found block and applies the strategy's answer, which
+    /// [`ForkAction::resolve`] settles.
+    fn on_block<S: Strategy + ?Sized>(
+        &mut self,
+        strategy: &S,
+        by_attacker: bool,
+        on_private_branch: bool,
+    ) -> Landing {
+        let event = if by_attacker {
+            self.state.private += 1;
+            ForkEvent::SelfBlock
+        } else if self.tie_race() && on_private_branch {
+            // Honest power extended the attacker's published branch: her
+            // blocks settle under the new honest tip, the public branch
+            // since the fork point is orphaned.
+            let len = self.state.private + 1;
+            self.reset(false);
+            return Landing {
+                private: true,
+                settled: Resolution::Private,
+                len,
+            };
+        } else {
+            self.state.public += 1;
+            ForkEvent::PublicBlock
+        };
+        let state = self.state;
+        let settled = strategy.decide(state, event).resolve(state);
+        Landing {
+            private: by_attacker,
+            settled,
+            len: self.apply(settled),
+        }
+    }
+
+    /// Applies a resolution; returns how many blocks settled.
+    fn apply(&mut self, resolution: Resolution) -> u64 {
+        match resolution {
+            Resolution::Hold => 0,
+            Resolution::Race => {
+                self.state.published = true;
+                0
+            }
+            Resolution::Private => {
+                let len = self.state.private;
+                self.reset(true);
+                len
+            }
+            Resolution::Public => {
+                // Public blocks are honest: the tip is hers only if none
+                // came.
+                let len = self.state.public;
+                self.reset(self.tip_is_attacker && len == 0);
+                len
+            }
+        }
+    }
+
+    fn reset(&mut self, tip_is_attacker: bool) {
+        self.state = ForkState::default();
+        self.tip_is_attacker = tip_is_attacker;
+    }
+
+    /// Ends the game as if the attacker published: returns the branch
+    /// that settles, or [`Resolution::Hold`] when an unresolved
+    /// equal-length race orphans both sides.
+    fn finalize(&mut self) -> Resolution {
+        match ForkAction::Publish.resolve(self.state) {
+            Resolution::Hold | Resolution::Race => {
+                self.reset(self.tip_is_attacker);
+                Resolution::Hold
+            }
+            settled => {
+                self.apply(settled);
+                settled
+            }
+        }
+    }
+}
+
 /// Fork-aware bookkeeping: it holds both branches since the fork point,
 /// settles them by [`ForkAction::resolve`] as a strategy acts, and emits
 /// settled main-chain blocks in chain order (orphaned blocks are never
@@ -291,10 +408,9 @@ impl Strategy for StakeGrinding {
 /// found each block.
 #[derive(Debug, Clone)]
 pub struct ForkMachine<B = usize> {
+    shape: ForkShape,
     private: Vec<B>,
     public: Vec<B>,
-    published: bool,
-    tip_is_attacker: bool,
     settled: VecDeque<B>,
 }
 
@@ -302,10 +418,9 @@ impl<B> Default for ForkMachine<B> {
     /// A machine with no fork open.
     fn default() -> Self {
         Self {
+            shape: ForkShape::default(),
             private: Vec::new(),
             public: Vec::new(),
-            published: false,
-            tip_is_attacker: false,
             settled: VecDeque::new(),
         }
     }
@@ -315,11 +430,7 @@ impl<B> ForkMachine<B> {
     /// The fork state as seen by strategies.
     #[must_use]
     pub fn state(&self) -> ForkState {
-        ForkState {
-            private: self.private.len() as u64,
-            public: self.public.len() as u64,
-            published: self.published,
-        }
+        self.shape.state
     }
 
     /// The attacker's branch since the fork point, oldest first.
@@ -338,14 +449,14 @@ impl<B> ForkMachine<B> {
     /// power splits by γ).
     #[must_use]
     pub fn tie_race(&self) -> bool {
-        self.published && !self.private.is_empty() && self.private.len() == self.public.len()
+        self.shape.tie_race()
     }
 
     /// Whether the attacker authored the tip she currently mines on — the
     /// precondition for grinding the next lottery seed.
     #[must_use]
     pub fn attacker_controls_tip(&self) -> bool {
-        !self.private.is_empty() || self.tip_is_attacker
+        self.shape.attacker_controls_tip()
     }
 
     /// Number of settled-but-unconsumed main-chain blocks.
@@ -371,32 +482,18 @@ impl<B> ForkMachine<B> {
         by_attacker: bool,
         on_private_branch: bool,
     ) {
-        let event = if by_attacker {
-            self.private.push(block);
-            ForkEvent::SelfBlock
-        } else if self.tie_race() && on_private_branch {
-            // Honest power extended the attacker's published branch: her
-            // blocks settle under the new honest tip, the public branch
-            // since the fork point is orphaned.
-            self.settled.extend(self.private.drain(..));
-            self.settled.push_back(block);
-            self.reset(false);
-            return;
-        } else {
-            self.public.push(block);
-            ForkEvent::PublicBlock
-        };
-        let state = self.state();
-        self.apply(strategy.decide(state, event).resolve(state));
+        let landing = self
+            .shape
+            .on_block(strategy, by_attacker, on_private_branch);
+        self.place(block, landing);
     }
 
     /// [`on_block`](Self::on_block), then [`pop_settled`](Self::pop_settled),
-    /// without the queue's round trip in the common case: when no fork
-    /// is open and nothing waits, the strategy decides on the state the
-    /// block would leave, and a lone block that settles goes straight to
-    /// the caller without touching a branch. The adversarial golden
-    /// digests (`tests/adversary_ensemble_golden.rs`), recorded when every
-    /// block went through the queue, pin the two paths alike.
+    /// without the queue's round trip in the common case: a block that
+    /// settles alone while nothing waits goes straight to the caller
+    /// without touching a branch. The adversarial golden digests
+    /// (`tests/adversary_ensemble_golden.rs`), recorded when every block
+    /// went through the queue, pin the two paths alike.
     pub(crate) fn on_block_pop<S: Strategy + ?Sized>(
         &mut self,
         strategy: &S,
@@ -404,68 +501,137 @@ impl<B> ForkMachine<B> {
         by_attacker: bool,
         on_private: bool,
     ) -> Option<B> {
-        if !self.private.is_empty() || !self.public.is_empty() || !self.settled.is_empty() {
-            self.on_block(strategy, block, by_attacker, on_private);
-            return self.pop_settled();
-        }
-        // No fork is open, so no tie race either: `on_block`'s first or
-        // last branch, decided on the one-block branch it would leave.
-        let state = ForkState {
-            private: u64::from(by_attacker),
-            public: u64::from(!by_attacker),
-            published: false,
-        };
-        let (event, settles) = if by_attacker {
-            (ForkEvent::SelfBlock, Resolution::Private)
+        let landing = self.shape.on_block(strategy, by_attacker, on_private);
+        let own = if landing.private {
+            Resolution::Private
         } else {
-            (ForkEvent::PublicBlock, Resolution::Public)
+            Resolution::Public
         };
-        let resolution = strategy.decide(state, event).resolve(state);
-        if resolution == settles {
-            self.tip_is_attacker = by_attacker;
+        if landing.settled == own && landing.len == 1 && self.settled.is_empty() {
+            self.private.clear();
+            self.public.clear();
             return Some(block);
         }
-        if by_attacker {
+        self.place(block, landing);
+        self.pop_settled()
+    }
+
+    /// Moves `block` onto the branch it landed on, then that landing's
+    /// settled branch into the queue.
+    fn place(&mut self, block: B, landing: Landing) {
+        if landing.private {
             self.private.push(block);
         } else {
             self.public.push(block);
         }
-        self.apply(resolution);
-        self.pop_settled()
+        self.settle(landing.settled);
     }
 
-    fn apply(&mut self, resolution: Resolution) {
-        match resolution {
-            Resolution::Hold => {}
-            Resolution::Race => self.published = true,
-            Resolution::Private => {
-                self.settled.extend(self.private.drain(..));
-                self.reset(true);
-            }
-            Resolution::Public => {
-                // Public blocks are honest: the tip is hers only if none
-                // came.
-                let tip_is_attacker = self.tip_is_attacker && self.public.is_empty();
-                self.settled.extend(self.public.drain(..));
-                self.reset(tip_is_attacker);
-            }
-        }
-    }
-
-    fn reset(&mut self, tip_is_attacker: bool) {
-        self.private.clear();
-        self.public.clear();
-        self.published = false;
-        self.tip_is_attacker = tip_is_attacker;
+    fn settle(&mut self, resolution: Resolution) {
+        let (won, lost) = match resolution {
+            Resolution::Hold | Resolution::Race => return,
+            Resolution::Private => (&mut self.private, &mut self.public),
+            Resolution::Public => (&mut self.public, &mut self.private),
+        };
+        self.settled.extend(won.drain(..));
+        lost.clear();
     }
 
     /// Ends the game as if the attacker published: the strictly longer
     /// branch settles; an unresolved equal-length race orphans both sides.
     pub fn finalize(&mut self) {
-        match ForkAction::Publish.resolve(self.state()) {
-            Resolution::Hold | Resolution::Race => self.reset(self.tip_is_attacker),
-            settled => self.apply(settled),
+        match self.shape.finalize() {
+            Resolution::Hold | Resolution::Race => {
+                self.private.clear();
+                self.public.clear();
+            }
+            settled => self.settle(settled),
         }
+    }
+}
+
+/// Two-miner fork bookkeeping as lengths. The adapter's private branch
+/// only ever holds miner 0, and with two miners its public branch only
+/// holds miner 1, so a [`ForkShape`] and the counts of settled blocks
+/// say all that a [`ForkMachine`] of owner indices would.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TwoMinerFork {
+    shape: ForkShape,
+    /// Settled but unpaid blocks: `settled[0]` of miner 0, paid first,
+    /// then `settled[1]` of miner 1. A settled private branch is hers but
+    /// for an honest block that ended a tip race on it, which comes last.
+    settled: [u64; 2],
+}
+
+/// The fork bookkeeping an [`Adversary`] settles through: a
+/// [`ForkMachine`] of owner indices, or a [`TwoMinerFork`].
+trait AdapterFork {
+    fn shape(&self) -> &ForkShape;
+
+    fn pop_settled(&mut self) -> Option<usize>;
+
+    /// Feeds one block, found by `winner`, then pops the next settled
+    /// block. Called only when nothing settled is waiting.
+    fn on_block_pop<S: Strategy + ?Sized>(
+        &mut self,
+        strategy: &S,
+        winner: usize,
+        on_private: bool,
+    ) -> Option<usize>;
+}
+
+impl AdapterFork for ForkMachine {
+    fn shape(&self) -> &ForkShape {
+        &self.shape
+    }
+
+    fn pop_settled(&mut self) -> Option<usize> {
+        ForkMachine::pop_settled(self)
+    }
+
+    fn on_block_pop<S: Strategy + ?Sized>(
+        &mut self,
+        strategy: &S,
+        winner: usize,
+        on_private: bool,
+    ) -> Option<usize> {
+        ForkMachine::on_block_pop(self, strategy, winner, winner == 0, on_private)
+    }
+}
+
+impl AdapterFork for TwoMinerFork {
+    fn shape(&self) -> &ForkShape {
+        &self.shape
+    }
+
+    fn pop_settled(&mut self) -> Option<usize> {
+        let owner = usize::from(self.settled[0] == 0);
+        if self.settled[owner] == 0 {
+            return None;
+        }
+        self.settled[owner] -= 1;
+        Some(owner)
+    }
+
+    fn on_block_pop<S: Strategy + ?Sized>(
+        &mut self,
+        strategy: &S,
+        winner: usize,
+        on_private: bool,
+    ) -> Option<usize> {
+        debug_assert!(winner <= 1 && self.settled == [0, 0]);
+        let by_attacker = winner == 0;
+        let landing = self.shape.on_block(strategy, by_attacker, on_private);
+        self.settled = match landing.settled {
+            Resolution::Hold | Resolution::Race => return None,
+            Resolution::Private => {
+                // An honest block joins her branch only to end a tip race.
+                let honest = u64::from(landing.private && !by_attacker);
+                [landing.len - honest, honest]
+            }
+            Resolution::Public => [0, landing.len],
+        };
+        self.pop_settled()
     }
 }
 
@@ -552,13 +718,25 @@ pub fn run_fork_game<S: Strategy + ?Sized>(
 /// everyone else mines honestly. Each [`step`](IncentiveProtocol::step)
 /// settles exactly one main-chain block: the inner protocol's lottery
 /// supplies block-discovery events (with grinding redraws when the
-/// attacker controls her tip), the [`ForkMachine`] applies the strategy,
+/// attacker controls her tip), the fork bookkeeping applies the strategy,
 /// and settled owners are paid out oldest-first.
 ///
-/// The fork machine and the outcome the inner protocol draws into are
-/// plain fields: per-game state, owned by the game that owns the adapter
-/// (see [`IncentiveProtocol`]'s per-game state). A new adapter starts
+/// The fork bookkeeping and the inner protocol's draws are plain fields:
+/// per-game state, owned by the game that owns the adapter (see
+/// [`IncentiveProtocol`]'s per-game state). A new adapter starts
 /// unforked, and a clone continues from the original's fork state.
+///
+/// One loop settles blocks, whether [`step_into`](IncentiveProtocol::step_into)
+/// asks for one or [`run_segment`](IncentiveProtocol::run_segment) for a
+/// whole checkpoint segment, which it accepts when the inner protocol
+/// does not compound (PoW, NEO, another adapter over them): the stakes
+/// are then fixed, and the segment credits the income column directly.
+/// The loop reads the strategy's γ and grinding tries once per call,
+/// draws an inner [`StepLaw::FixedLottery`] from its own sampler
+/// instead of calling the inner protocol, and keeps a two-miner fork as
+/// lengths and any other as a [`ForkMachine`]. A
+/// segment may end inside a withholding burst; the blocks it settled but
+/// did not pay wait for the next call, as they do between steps.
 ///
 /// Because the adapter is a plain [`IncentiveProtocol`], adversarial
 /// configurations flow through `run_ensemble` and the content-addressed
@@ -570,16 +748,48 @@ pub fn run_fork_game<S: Strategy + ?Sized>(
 /// grinding strategies never burst).
 #[derive(Debug, Clone)]
 pub struct Adversary<P, S> {
-    inner: P,
+    lottery: InnerLottery<P>,
     strategy: S,
+    /// The fork of a game with three or more miners.
     machine: ForkMachine,
+    /// The fork of a game with one or two miners.
+    two: TwoMinerFork,
+}
+
+/// The adapter's source of block-discovery events: its inner protocol.
+#[derive(Debug, Clone)]
+struct InnerLottery<P> {
+    inner: P,
     /// Where the inner protocol's draws land, reused across steps so
     /// adversarial stepping allocates nothing in steady state either.
-    inner_out: StepOutcome,
+    out: StepOutcome,
     /// [`IncentiveProtocol::rewards_compound`] of the inner protocol,
     /// cached at construction: whether the stakes can change between
-    /// steps, so that `inner_out`'s sampler must be rebuilt.
-    inner_compounds: bool,
+    /// steps, so that `out`'s sampler must be rebuilt.
+    compounds: bool,
+    /// A sampler over the inner protocol's [`StepLaw::FixedLottery`]
+    /// weights, built at construction. The inner's own draw builds the
+    /// same sampler from the same slice and never updates it, so drawing
+    /// here picks the same winners without a call into the inner.
+    fixed: Option<FenwickSampler>,
+}
+
+impl<P: IncentiveProtocol> InnerLottery<P> {
+    /// One block-discovery event: the inner lottery's winner.
+    #[inline]
+    fn draw(&mut self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> usize {
+        if let Some(fixed) = &self.fixed {
+            return fixed.sample(rng);
+        }
+        self.inner.step_into(stakes, step, rng, &mut self.out);
+        match self.out.view() {
+            StepRewardsView::Winner(w) => w,
+            StepRewardsView::Split(_) => panic!(
+                "adversarial strategies need a single-winner protocol; {} splits rewards",
+                self.inner.name()
+            ),
+        }
+    }
 }
 
 impl<P: IncentiveProtocol, S: Strategy> Adversary<P, S> {
@@ -587,19 +797,27 @@ impl<P: IncentiveProtocol, S: Strategy> Adversary<P, S> {
     /// chain.
     #[must_use]
     pub fn new(inner: P, strategy: S) -> Self {
+        let fixed = match inner.step_law() {
+            Some(StepLaw::FixedLottery { weights }) => Some(FenwickSampler::new(weights)),
+            _ => None,
+        };
         Self {
-            machine: ForkMachine::default(),
-            inner_out: StepOutcome::new(),
-            inner_compounds: inner.rewards_compound(),
-            inner,
+            lottery: InnerLottery {
+                out: StepOutcome::new(),
+                compounds: inner.rewards_compound(),
+                fixed,
+                inner,
+            },
             strategy,
+            machine: ForkMachine::default(),
+            two: TwoMinerFork::default(),
         }
     }
 
     /// The wrapped protocol.
     #[must_use]
     pub fn inner(&self) -> &P {
-        &self.inner
+        &self.lottery.inner
     }
 
     /// The attacker's strategy.
@@ -608,16 +826,107 @@ impl<P: IncentiveProtocol, S: Strategy> Adversary<P, S> {
         &self.strategy
     }
 
-    /// One block-discovery event: the inner lottery's winner.
+    /// Settles `n` main-chain blocks, the first at step `first_step`, and
+    /// hands each one's owner to `pay` in chain order: the adapter's one
+    /// stepping path.
     #[inline]
-    fn draw(&mut self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> usize {
-        self.inner.step_into(stakes, step, rng, &mut self.inner_out);
-        match self.inner_out.view() {
-            StepRewardsView::Winner(w) => w,
-            StepRewardsView::Split(_) => panic!(
-                "adversarial strategies need a single-winner protocol; {} splits rewards",
-                self.inner.name()
-            ),
+    fn settle(
+        &mut self,
+        stakes: &[f64],
+        first_step: u64,
+        n: u64,
+        rng: &mut Xoshiro256StarStar,
+        pay: impl FnMut(usize),
+    ) {
+        let Self {
+            lottery,
+            strategy,
+            machine,
+            two,
+        } = self;
+        if stakes.len() <= 2 {
+            settle_blocks(two, lottery, strategy, stakes, first_step, n, rng, pay);
+        } else {
+            settle_blocks(machine, lottery, strategy, stakes, first_step, n, rng, pay);
+        }
+    }
+}
+
+/// [`Adversary::settle`] over one kind of fork bookkeeping.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn settle_blocks<F: AdapterFork, P: IncentiveProtocol, S: Strategy>(
+    fork: &mut F,
+    lottery: &mut InnerLottery<P>,
+    strategy: &S,
+    stakes: &[f64],
+    first_step: u64,
+    n: u64,
+    rng: &mut Xoshiro256StarStar,
+    mut pay: impl FnMut(usize),
+) {
+    let (gamma, tries) = (strategy.gamma(), strategy.grinding_tries());
+    for step in first_step..first_step + n {
+        // The game credits rewards between steps without reporting them
+        // to the inner outcome, so a compounding inner protocol's sampler
+        // would be stale. A non-compounding one keeps its sampler warm:
+        // its stakes never change (PoW and NEO even draw over their own
+        // fixed shares). Within this step the stakes are fixed, so
+        // grinding redraws reuse one rebuild either way.
+        if lottery.compounds {
+            lottery.out.invalidate_weights();
+        }
+        let owner = match fork.pop_settled() {
+            Some(owner) => owner,
+            None => next_settled(fork, lottery, strategy, (gamma, tries), stakes, step, rng),
+        };
+        pay(owner);
+    }
+}
+
+/// Feeds block-discovery events into `fork` until one block settles, and
+/// returns its owner.
+#[inline]
+fn next_settled<F: AdapterFork, P: IncentiveProtocol, S: Strategy>(
+    fork: &mut F,
+    lottery: &mut InnerLottery<P>,
+    strategy: &S,
+    (gamma, tries): (f64, u32),
+    stakes: &[f64],
+    step: u64,
+    rng: &mut Xoshiro256StarStar,
+) -> usize {
+    let mut safety = 0u32;
+    loop {
+        safety += 1;
+        assert!(
+            safety < 1_000_000,
+            "fork never settled after 1M events — runaway strategy"
+        );
+        // Grinding: when the attacker authored her tip she redraws the
+        // lottery up to `tries` times and keeps the first winning draw
+        // (falling back to the last). `tries = 1` draws exactly once,
+        // making the adapter bit-identical to the honest stream.
+        let tries = if fork.shape().attacker_controls_tip() {
+            tries
+        } else {
+            1
+        };
+        let mut winner = lottery.draw(stakes, step, rng);
+        let mut attempt = 1;
+        while winner != 0 && attempt < tries {
+            winner = lottery.draw(stakes, step, rng);
+            attempt += 1;
+        }
+        let on_private = if winner == 0 {
+            true
+        } else if fork.shape().tie_race() {
+            rng.next_f64() < gamma
+        } else {
+            false
+        };
+        if let Some(owner) = fork.on_block_pop(strategy, winner, on_private) {
+            return owner;
         }
     }
 }
@@ -628,20 +937,20 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Adversary<P, S> {
     }
 
     fn label(&self) -> String {
-        format!("{}({})", self.strategy.name(), self.inner.label())
+        format!("{}({})", self.strategy.name(), self.lottery.inner.label())
     }
 
     fn reward_per_step(&self) -> f64 {
-        self.inner.reward_per_step()
+        self.lottery.inner.reward_per_step()
     }
 
     fn rewards_compound(&self) -> bool {
-        self.inner.rewards_compound()
+        self.lottery.inner.rewards_compound()
     }
 
     fn params(&self) -> Vec<f64> {
-        let mut p = vec![protocol_tag(&self.inner)];
-        p.extend(self.inner.params());
+        let mut p = vec![protocol_tag(&self.lottery.inner)];
+        p.extend(self.lottery.inner.params());
         p.extend(self.strategy.params());
         p
     }
@@ -653,54 +962,23 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Adversary<P, S> {
         rng: &mut Xoshiro256StarStar,
         out: &mut StepOutcome,
     ) {
-        // The game credits rewards between steps without reporting them
-        // to the inner outcome, so a compounding inner protocol's sampler
-        // would be stale. A non-compounding one keeps its sampler warm:
-        // its stakes never change (PoW and NEO even draw over their own
-        // fixed shares). Within this step the stakes are fixed, so
-        // grinding redraws reuse one rebuild either way.
-        if self.inner_compounds {
-            self.inner_out.invalidate_weights();
+        self.settle(stakes, step, 1, rng, |owner| out.set_winner(owner));
+    }
+
+    fn run_segment(
+        &mut self,
+        stakes: &[f64],
+        first_step: u64,
+        n: u64,
+        rng: &mut Xoshiro256StarStar,
+        earned: &mut [f64],
+    ) -> bool {
+        if self.lottery.compounds {
+            return false;
         }
-        if let Some(owner) = self.machine.pop_settled() {
-            return out.set_winner(owner);
-        }
-        let mut safety = 0u32;
-        loop {
-            safety += 1;
-            assert!(
-                safety < 1_000_000,
-                "fork never settled after 1M events — runaway strategy"
-            );
-            // Grinding: when the attacker authored her tip she redraws the
-            // lottery up to `tries` times and keeps the first winning draw
-            // (falling back to the last). `tries = 1` draws exactly once,
-            // making the adapter bit-identical to the honest stream.
-            let tries = if self.machine.attacker_controls_tip() {
-                self.strategy.grinding_tries()
-            } else {
-                1
-            };
-            let mut winner = self.draw(stakes, step, rng);
-            let mut attempt = 1;
-            while winner != 0 && attempt < tries {
-                winner = self.draw(stakes, step, rng);
-                attempt += 1;
-            }
-            let on_private = if winner == 0 {
-                true
-            } else if self.machine.tie_race() {
-                rng.next_f64() < self.strategy.gamma()
-            } else {
-                false
-            };
-            if let Some(owner) =
-                self.machine
-                    .on_block_pop(&self.strategy, winner, winner == 0, on_private)
-            {
-                return out.set_winner(owner);
-            }
-        }
+        let reward = self.reward_per_step();
+        self.settle(stakes, first_step, n, rng, |owner| earned[owner] += reward);
+        true
     }
 }
 
@@ -907,32 +1185,108 @@ mod tests {
 
     #[test]
     fn game_cloned_mid_fork_continues_like_the_original() {
-        // The fork machine is per-game state. A step returns as soon as
-        // one block settles, so after a withholding burst the machine
+        // The fork bookkeeping is per-game state. A step returns as soon
+        // as one block settles, so after a withholding burst the adapter
         // still holds settled blocks that later steps pay out. A clone
         // taken then must carry them on, and step on bit-identically to
-        // the original.
-        let adapter = Adversary::new(Pow::new(&[0.4, 0.6], 0.01), SelfishMining::new(0.5));
-        let mut game = crate::game::MiningGame::new(adapter, &[0.4, 0.6]);
-        let mut rng = Xoshiro256StarStar::new(7);
-        while game.protocol().machine.settled_len() == 0 {
-            game.step(&mut rng);
-            assert!(game.steps() < 10_000, "no withholding burst");
+        // the original: at two miners (lengths) and at three (a machine).
+        for shares in [&[0.4, 0.6][..], &[0.4, 0.3, 0.3]] {
+            let adapter = Adversary::new(Pow::new(shares, 0.01), SelfishMining::new(0.5));
+            let mut game = crate::game::MiningGame::new(adapter, shares);
+            let mut rng = Xoshiro256StarStar::new(7);
+            let unpaid = |a: &Adversary<Pow, SelfishMining>| {
+                a.machine.settled_len() as u64 + a.two.settled.iter().sum::<u64>()
+            };
+            while unpaid(game.protocol()) == 0 {
+                game.step(&mut rng);
+                assert!(game.steps() < 10_000, "no withholding burst");
+            }
+            let mut clone = game.clone();
+            let mut clone_rng = rng.clone();
+            assert_eq!(clone.protocol().two, game.protocol().two);
+            assert_eq!(
+                clone.protocol().machine.settled,
+                game.protocol().machine.settled
+            );
+            game.run(2_000, &mut rng);
+            clone.run(2_000, &mut clone_rng);
+            let bits = |g: &crate::game::MiningGame<_>| -> Vec<u64> {
+                g.earned_column().iter().map(|e| e.to_bits()).collect()
+            };
+            assert_eq!(clone.steps(), game.steps());
+            assert_eq!(bits(&clone), bits(&game));
+            assert_eq!(clone_rng, rng);
         }
-        let mut clone = game.clone();
-        let mut clone_rng = rng.clone();
-        assert_eq!(
-            clone.protocol().machine.settled,
-            game.protocol().machine.settled
-        );
-        game.run(2_000, &mut rng);
-        clone.run(2_000, &mut clone_rng);
-        let bits = |g: &crate::game::MiningGame<_>| -> Vec<u64> {
-            g.earned_column().iter().map(|e| e.to_bits()).collect()
-        };
-        assert_eq!(clone.steps(), game.steps());
-        assert_eq!(bits(&clone), bits(&game));
-        assert_eq!(clone_rng, rng);
+    }
+
+    /// Asserts the same fork bookkeeping: shape, branches and the
+    /// settled blocks not yet paid.
+    fn assert_same_fork<S>(a: &Adversary<Pow, S>, b: &Adversary<Pow, S>, what: &str) {
+        assert_eq!(a.two, b.two, "{what}: two-miner fork");
+        let (x, y) = (&a.machine, &b.machine);
+        assert_eq!(x.shape, y.shape, "{what}: fork shape");
+        assert_eq!(x.private, y.private, "{what}: private branch");
+        assert_eq!(x.public, y.public, "{what}: public branch");
+        assert_eq!(x.settled, y.settled, "{what}: settled blocks");
+    }
+
+    #[test]
+    fn segments_match_single_steps_over_pow() {
+        // `MiningGame::run` hands a non-compounding game's segments to
+        // `run_segment`; each must end exactly where as many single steps
+        // do, also when it ends inside a withholding burst (the blocks it
+        // settled but did not pay wait in the fork bookkeeping).
+        fn check<S: Strategy + Clone>(strategy: &S, shares: &[f64], what: &str) -> usize {
+            let make = || {
+                let adapter = Adversary::new(Pow::new(shares, 0.01), strategy.clone());
+                crate::game::MiningGame::new(adapter, shares)
+            };
+            let mut mid_burst = 0;
+            for segments in [&[1u64][..], &[2, 1, 3], &[7, 64], &[1000, 1, 999]] {
+                let mut run = make();
+                let mut run_rng = Xoshiro256StarStar::new(97);
+                for &n in segments {
+                    run.run(n, &mut run_rng);
+                    let unpaid = run.protocol().machine.settled_len() as u64
+                        + run.protocol().two.settled.iter().sum::<u64>();
+                    mid_burst += usize::from(unpaid > 0);
+                }
+                let mut stepped = make();
+                let mut step_rng = Xoshiro256StarStar::new(97);
+                for _ in 0..segments.iter().sum::<u64>() {
+                    stepped.step(&mut step_rng);
+                }
+                let what = format!("{what}, m={}, segments {segments:?}", shares.len());
+                assert_eq!(run.steps(), stepped.steps(), "{what}: step count");
+                for i in 0..shares.len() {
+                    assert_eq!(
+                        run.earned(i).to_bits(),
+                        stepped.earned(i).to_bits(),
+                        "{what}: earned[{i}] diverged"
+                    );
+                }
+                assert_eq!(run_rng, step_rng, "{what}: generator diverged");
+                assert_same_fork(run.protocol(), stepped.protocol(), &what);
+            }
+            mid_burst
+        }
+        let mut mid_burst = 0;
+        for shares in [&[0.4, 0.6][..], &[0.4, 0.35, 0.25]] {
+            // A PoW adapter takes segments; a compounding one declines.
+            let mut pow = Adversary::new(Pow::new(shares, 0.01), Honest);
+            let mut mlpos = Adversary::new(MlPos::new(0.01), Honest);
+            let (mut rng, mut earned) = (Xoshiro256StarStar::new(1), vec![0.0; shares.len()]);
+            assert!(pow.run_segment(shares, 0, 5, &mut rng, &mut earned));
+            assert!(!mlpos.run_segment(shares, 0, 5, &mut rng, &mut earned));
+            check(&Honest, shares, "honest");
+            for gamma in [0.0, 0.5, 1.0] {
+                let what = format!("selfish-mining({gamma})");
+                mid_burst += check(&SelfishMining::new(gamma), shares, &what);
+            }
+            let optimal = crate::mdp::OptimalWithholding::new(0.4, 0.5, 16);
+            mid_burst += check(&optimal, shares, "optimal-withholding");
+        }
+        assert!(mid_burst > 0, "no segment ended inside a burst");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   but join staking power only at period boundaries (Section 6.3).
 
 use crate::ledger::StakeLedger;
-use crate::protocol::{IncentiveProtocol, StepOutcome, StepRewardsView};
+use crate::protocol::{IncentiveProtocol, StepLaw, StepOutcome, StepRewardsView};
 use crate::trajectory::Trajectory;
 use crate::withholding::WithholdingSchedule;
 use fairness_stats::rng::Xoshiro256StarStar;
@@ -216,7 +216,10 @@ impl<P: IncentiveProtocol> MiningGame<P> {
     /// with every stake positive and no withholding take a fused kernel
     /// over the ledger's columns: the software-pipelined
     /// `run_slpos_two_miner` at two miners, `run_slpos_race` at three or
-    /// more. Outcomes are bit-identical to stepping one at a time.
+    /// more. A game that does not compound and withholds nothing offers
+    /// the segment to [`IncentiveProtocol::run_segment`] (the adversary
+    /// adapter over PoW or NEO settles it in one loop). Outcomes are
+    /// bit-identical to stepping one at a time.
     #[inline]
     pub fn run(&mut self, n: u64, rng: &mut Xoshiro256StarStar) {
         if let Some(reward) = self.fused_slpos_reward() {
@@ -225,6 +228,14 @@ impl<P: IncentiveProtocol> MiningGame<P> {
                 2 if n >= 2 => return self.run_slpos_two_miner(n, reward, rng),
                 m if m >= 3 && n >= 1 => return self.run_slpos_race(n, reward, rng),
                 _ => {}
+            }
+        } else if n > 0 && !self.compounds && self.withholding.is_none() {
+            let (protocol, first) = (&mut self.protocol, self.steps);
+            let issued = n as f64 * self.reward_per_step;
+            if self.ledger.income_update(issued, |stakes, earned| {
+                protocol.run_segment(stakes, first, n, rng, earned)
+            }) {
+                return self.finish_fused(n);
             }
         }
         for _ in 0..n {
@@ -240,7 +251,9 @@ impl<P: IncentiveProtocol> MiningGame<P> {
         if self.withholding.is_some() {
             return None;
         }
-        let reward = self.protocol.slpos_core_reward()?;
+        let Some(StepLaw::SlPosRace { reward }) = self.protocol.step_law() else {
+            return None;
+        };
         self.ledger
             .stakes()
             .iter()
@@ -446,7 +459,8 @@ impl<P: IncentiveProtocol> MiningGame<P> {
         }
     }
 
-    /// Bookkeeping after a fused kernel has advanced `n` steps.
+    /// Bookkeeping after a fused or segment kernel has advanced `n`
+    /// steps.
     fn finish_fused(&mut self, n: u64) {
         self.steps += n;
         // Bulk stake change relative to anything a live sampler mirrors.

@@ -179,6 +179,23 @@ impl StakeLedger {
         self.earned_total += issued;
         self.power_total += issued;
     }
+
+    /// Bulk income update for a non-compounding segment kernel: hands
+    /// `kernel` the stake column to read and the income column to credit
+    /// in place and, if it reports that it ran, accounts the `issued`
+    /// reward total in one shot. Staking power does not change.
+    #[inline]
+    pub fn income_update(
+        &mut self,
+        issued: f64,
+        kernel: impl FnOnce(&[f64], &mut [f64]) -> bool,
+    ) -> bool {
+        let ran = kernel(&self.stakes, &mut self.earned);
+        if ran {
+            self.earned_total += issued;
+        }
+        ran
+    }
 }
 
 /// Which winner-selection law an [`AggregatedTailGame`] folds its tail

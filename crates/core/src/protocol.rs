@@ -353,25 +353,77 @@ pub trait IncentiveProtocol: Send + Sync {
         out.to_rewards()
     }
 
-    /// If — and only if — this protocol's step distribution is exactly
-    /// the bare SL-PoS `U_i/s_i` waiting-time race (no adapters, no
-    /// step-index dependence), returns its block reward.
+    /// This protocol's step law as data, when it is one a kernel knows
+    /// (see [`StepLaw`]); `None` (the default) keeps the generic stepping
+    /// path.
     ///
-    /// This is a performance hook, not a semantic one: SL-PoS sweeps
-    /// (Figure 4, Table 1's SL-PoS cells and its monopolization bisection)
-    /// dominate the reproduction's wall-clock. Knowing the step law,
-    /// [`crate::game::MiningGame::run`] steps any miner count with every
-    /// stake positive through a fused kernel over the ledger's columns:
-    /// at two miners it software-pipelines the division-feedback chain
-    /// (the winner's compounded stake is the next step's divisor) with
-    /// speculative candidate quotients, and at three or more it runs the
-    /// race as one branch-free loop with no protocol dispatch. Outcomes
-    /// are bit-identical to [`step_into`](Self::step_into). `None` (the
-    /// default) keeps the generic stepping path; **adapters must not
-    /// forward this** (their step law differs from the inner protocol's).
-    fn slpos_core_reward(&self) -> Option<f64> {
+    /// This is a performance hook, not a semantic one: whoever matches on
+    /// the law must draw exactly what [`step_into`](Self::step_into)
+    /// draws. **Adapters must not forward it**: their step law differs
+    /// from the inner protocol's.
+    fn step_law(&self) -> Option<StepLaw<'_>> {
         None
     }
+
+    /// Settles `n` steps in one call, the first at `first_step`, if the
+    /// protocol has a segment kernel; returns whether it did.
+    ///
+    /// A [`crate::game::MiningGame`] that does not compound and withholds
+    /// nothing offers every segment [`run`](crate::game::MiningGame::run)
+    /// asks for, so `stakes` stays fixed for the whole segment. A kernel
+    /// that accepts credits each step's
+    /// [`reward_per_step`](Self::reward_per_step) to that step's winner
+    /// in `earned`, in step order (`earned[w] += reward`), and must leave
+    /// the income column, its own state and `rng` exactly as `n` calls of
+    /// [`step_into`](Self::step_into) followed by the game's credits
+    /// would. The default declines, and the game steps one at a time.
+    /// **Adapters must not forward it** either.
+    fn run_segment(
+        &mut self,
+        stakes: &[f64],
+        first_step: u64,
+        n: u64,
+        rng: &mut Xoshiro256StarStar,
+        earned: &mut [f64],
+    ) -> bool {
+        let _ = (stakes, first_step, n, rng, earned);
+        false
+    }
+}
+
+/// A closed step law, as [`IncentiveProtocol::step_law`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StepLaw<'a> {
+    /// Exactly the bare SL-PoS `U_i/s_i` waiting-time race over the
+    /// current stakes, paying `reward` per block, with no step-index
+    /// dependence.
+    ///
+    /// SL-PoS sweeps (Figure 4, Table 1's SL-PoS cells and its
+    /// monopolization bisection) dominate the reproduction's wall-clock.
+    /// Knowing this law, [`crate::game::MiningGame::run`] steps any miner
+    /// count with every stake positive through a fused kernel over the
+    /// ledger's columns: at two miners it software-pipelines the
+    /// division-feedback chain (the winner's compounded stake is the next
+    /// step's divisor) with speculative candidate quotients, and at three
+    /// or more it runs the race as one branch-free loop with no protocol
+    /// dispatch; `run_batch` steps such games in vector lanes.
+    SlPosRace {
+        /// The block reward.
+        reward: f64,
+    },
+    /// One winner per step drawn through
+    /// [`StepOutcome::weighted_winner`] over `weights`, a slice the
+    /// protocol never changes (PoW's hash power, NEO's base-asset
+    /// shares), regardless of the stakes and the step index.
+    ///
+    /// Such a draw builds one [`FenwickSampler`] over `weights` and never
+    /// updates it, so a caller that builds its own sampler from the same
+    /// slice draws bit-identical winners without calling the protocol;
+    /// the [`crate::adversary::Adversary`] adapter does.
+    FixedLottery {
+        /// The fixed lottery weights.
+        weights: &'a [f64],
+    },
 }
 
 /// Folds a wrapped protocol's *name* into an adapter's parameter

@@ -7,7 +7,7 @@
 //! hold for long games.
 
 use super::assert_positive_reward;
-use crate::protocol::{IncentiveProtocol, StepOutcome};
+use crate::protocol::{IncentiveProtocol, StepLaw, StepOutcome};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// NEO-style PoS with a non-compounding reward asset.
@@ -64,6 +64,12 @@ impl IncentiveProtocol for Neo {
         // Fixed voting shares: one sampler build per game, O(log m) draws.
         let w = out.weighted_winner(&self.shares, rng);
         out.set_winner(w);
+    }
+
+    fn step_law(&self) -> Option<StepLaw<'_>> {
+        Some(StepLaw::FixedLottery {
+            weights: &self.shares,
+        })
     }
 }
 

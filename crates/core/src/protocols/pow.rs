@@ -7,7 +7,7 @@
 //! and robustly fair for `n ≥ ln(2/δ)/(2a²ε²)` (Theorem 4.2).
 
 use super::assert_positive_reward;
-use crate::protocol::{IncentiveProtocol, StepOutcome};
+use crate::protocol::{IncentiveProtocol, StepLaw, StepOutcome};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Proof-of-Work.
@@ -73,6 +73,12 @@ impl IncentiveProtocol for Pow {
         // `self.shares` builds once per game and every draw is O(log m).
         let w = out.weighted_winner(&self.shares, rng);
         out.set_winner(w);
+    }
+
+    fn step_law(&self) -> Option<StepLaw<'_>> {
+        Some(StepLaw::FixedLottery {
+            weights: &self.shares,
+        })
     }
 }
 

@@ -8,7 +8,7 @@
 //! (Theorem 4.9).
 
 use super::assert_positive_reward;
-use crate::protocol::{IncentiveProtocol, StepOutcome};
+use crate::protocol::{IncentiveProtocol, StepLaw, StepOutcome};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// Single-lottery Proof-of-Stake.
@@ -79,8 +79,10 @@ impl IncentiveProtocol for SlPos {
         out.set_winner(Self::sample_winner(stakes, rng));
     }
 
-    fn slpos_core_reward(&self) -> Option<f64> {
-        Some(self.reward)
+    fn step_law(&self) -> Option<StepLaw<'_>> {
+        Some(StepLaw::SlPosRace {
+            reward: self.reward,
+        })
     }
 }
 

@@ -18,7 +18,7 @@ use crate::adversary::{
     Adversary, ForkAction, ForkEvent, ForkState, Honest, SelfishMining, StakeGrinding, Strategy,
 };
 use crate::mdp::{BestResponse, EquilibriumConfig, OptimalWithholding};
-use crate::protocol::{IncentiveProtocol, StepOutcome};
+use crate::protocol::{IncentiveProtocol, StepLaw, StepOutcome};
 use crate::protocols::{Algorand, CPos, Eos, FslPos, MlPos, Neo, Pow, SlPos};
 use crate::redistribution::{Alleviation, ClusterTax, FeeLottery, Sybil, SybilSplit};
 use crate::scenario::{ArgValue, ProtocolSpec};
@@ -102,8 +102,20 @@ impl IncentiveProtocol for BoxedProtocol {
         self.0.step_into(stakes, step_index, rng, out);
     }
 
-    fn slpos_core_reward(&self) -> Option<f64> {
-        self.0.slpos_core_reward()
+    fn step_law(&self) -> Option<StepLaw<'_>> {
+        self.0.step_law()
+    }
+
+    #[inline]
+    fn run_segment(
+        &mut self,
+        stakes: &[f64],
+        first_step: u64,
+        n: u64,
+        rng: &mut Xoshiro256StarStar,
+        earned: &mut [f64],
+    ) -> bool {
+        self.0.run_segment(stakes, first_step, n, rng, earned)
     }
 }
 

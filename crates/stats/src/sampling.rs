@@ -159,8 +159,27 @@ impl FenwickSampler {
     /// Zero-weight categories are never selected; a point at or past the
     /// total (floating-point slack) falls back to the last positively
     /// weighted category, mirroring the linear scan's fallback.
+    ///
+    /// Two categories with both weights positive (a two-miner lottery)
+    /// skip the loop: the descent probes `tree[2]` and then `tree[1]`,
+    /// and either probe passed means category 1 (past `tree[2]`, which
+    /// tracks the total, it falls back to the last positive category,
+    /// which is 1). So the draw is `rem ≥ tree[1] or rem ≥ tree[2]` in
+    /// closed form; while only non-negative deltas were
+    /// [`add`](Self::add)ed, `tree[2]` never falls below `tree[1]` and the
+    /// second test never decides. Zero weights take the descent.
     #[must_use]
     pub fn sample_at(&self, u: f64) -> usize {
+        if self.tree.len() == 3 && self.weights[0] > 0.0 && self.weights[1] > 0.0 {
+            let rem = u * self.total;
+            return usize::from((rem >= self.tree[1]) | (rem >= self.tree[2]));
+        }
+        self.descend(u)
+    }
+
+    /// [`sample_at`](Self::sample_at) by tree descent, for any category
+    /// count and weights.
+    fn descend(&self, u: f64) -> usize {
         let n = self.tree.len() - 1;
         let mut rem = u * self.total;
         let mut pos = 0usize;
@@ -327,6 +346,59 @@ mod tests {
                     linear_scan(weights, u),
                     "weights {weights:?} u={u}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn two_categories_match_the_descent() {
+        let mut rng = Xoshiro256StarStar::new(5);
+        let edges = [0.0, 0.5, 1.0 - f64::EPSILON / 2.0];
+        let agree = |s: &FenwickSampler, u: f64, what: &str| {
+            assert_eq!(s.sample_at(u), s.descend(u), "{what}: u={u}");
+        };
+        for case in 0..500 {
+            // Weights across scales, one of them tiny now and then.
+            let scale = |rng: &mut Xoshiro256StarStar| {
+                let w = rng.next_f64() + f64::MIN_POSITIVE;
+                w * 10f64.powi((rng.next_f64() * 30.0) as i32 - 15)
+            };
+            let weights = [scale(&mut rng), scale(&mut rng)];
+            let mut s = FenwickSampler::new(&weights);
+            let what = format!("case {case}, weights {weights:?}");
+            for _ in 0..200 {
+                agree(&s, rng.next_f64(), &what);
+            }
+            for u in edges {
+                agree(&s, u, &what);
+            }
+            // After many increments, as a game's stake sampler sees them.
+            for _ in 0..1000 {
+                let i = usize::from(rng.next_f64() < 0.5);
+                s.add(i, scale(&mut rng));
+            }
+            for _ in 0..200 {
+                agree(&s, rng.next_f64(), &format!("{what} after adds"));
+            }
+            for u in edges {
+                agree(&s, u, &format!("{what} after adds"));
+            }
+        }
+        // A negative delta can leave `tree[2]` one ulp below `tree[1]`:
+        // the closed form still follows the descent's fallback there.
+        let mut s = FenwickSampler::new(&[1.0, f64::EPSILON / 2.0]);
+        s.add(1, -0.375 * f64::EPSILON);
+        assert!(s.tree[2] < s.tree[1] && s.weight(1) > 0.0);
+        for u in [0.0, 0.5, 1.0 - f64::EPSILON / 2.0, 1.0] {
+            agree(&s, u, "tree[2] below tree[1]");
+        }
+        assert_eq!(s.sample_at(1.0), 1);
+        // Zero weights take the descent, which never picks them.
+        for weights in [[0.0, 1.0], [1.0, 0.0]] {
+            let s = FenwickSampler::new(&weights);
+            let positive = usize::from(weights[0] == 0.0);
+            for u in edges.into_iter().chain([1.0]) {
+                assert_eq!(s.sample_at(u), positive, "weights {weights:?}, u={u}");
             }
         }
     }
