@@ -16,7 +16,9 @@
 //!    implementations, and [`ForkAction::resolve`], the one statement of
 //!    what an action does to the fork;
 //! 2. [`ForkMachine`] — both branches since the fork point, settled by
-//!    `resolve`. It is generic over what a branch holds: owner indices in
+//!    `resolve` (the branch lengths, flags and their transitions live in
+//!    a private `ForkShape`, which a two-miner [`Adversary`] keeps alone,
+//!    as lengths). It is generic over what a branch holds: owner indices in
 //!    [`run_fork_game`], a model-level driver over abstract
 //!    block-discovery events validated against the Eyal–Sirer closed form
 //!    in [`fairness_stats::dist::selfish_mining_relative_revenue`], and
@@ -381,8 +383,8 @@ impl ForkShape {
     }
 
     /// Ends the game as if the attacker published: returns the branch
-    /// that settles, or [`Resolution::Hold`] when an unresolved
-    /// equal-length race orphans both sides.
+    /// that settles, or [`Resolution::Hold`] when nothing does (an
+    /// unresolved equal-length race orphans both sides).
     fn finalize(&mut self) -> Resolution {
         match ForkAction::Publish.resolve(self.state) {
             Resolution::Hold | Resolution::Race => {
@@ -488,34 +490,6 @@ impl<B> ForkMachine<B> {
         self.place(block, landing);
     }
 
-    /// [`on_block`](Self::on_block), then [`pop_settled`](Self::pop_settled),
-    /// without the queue's round trip in the common case: a block that
-    /// settles alone while nothing waits goes straight to the caller
-    /// without touching a branch. The adversarial golden digests
-    /// (`tests/adversary_ensemble_golden.rs`), recorded when every block
-    /// went through the queue, pin the two paths alike.
-    pub(crate) fn on_block_pop<S: Strategy + ?Sized>(
-        &mut self,
-        strategy: &S,
-        block: B,
-        by_attacker: bool,
-        on_private: bool,
-    ) -> Option<B> {
-        let landing = self.shape.on_block(strategy, by_attacker, on_private);
-        let own = if landing.private {
-            Resolution::Private
-        } else {
-            Resolution::Public
-        };
-        if landing.settled == own && landing.len == 1 && self.settled.is_empty() {
-            self.private.clear();
-            self.public.clear();
-            return Some(block);
-        }
-        self.place(block, landing);
-        self.pop_settled()
-    }
-
     /// Moves `block` onto the branch it landed on, then that landing's
     /// settled branch into the queue.
     fn place(&mut self, block: B, landing: Landing) {
@@ -540,13 +514,10 @@ impl<B> ForkMachine<B> {
     /// Ends the game as if the attacker published: the strictly longer
     /// branch settles; an unresolved equal-length race orphans both sides.
     pub fn finalize(&mut self) {
-        match self.shape.finalize() {
-            Resolution::Hold | Resolution::Race => {
-                self.private.clear();
-                self.public.clear();
-            }
-            settled => self.settle(settled),
-        }
+        let settled = self.shape.finalize();
+        self.settle(settled);
+        self.private.clear();
+        self.public.clear();
     }
 }
 
@@ -589,13 +560,31 @@ impl AdapterFork for ForkMachine {
         ForkMachine::pop_settled(self)
     }
 
+    /// Without the queue's round trip in the common case: a block that
+    /// settles alone goes straight to the caller without touching a
+    /// branch. The adversarial golden digests
+    /// (`tests/adversary_ensemble_golden.rs`), recorded when every block
+    /// went through the queue, pin the two paths alike.
     fn on_block_pop<S: Strategy + ?Sized>(
         &mut self,
         strategy: &S,
         winner: usize,
         on_private: bool,
     ) -> Option<usize> {
-        ForkMachine::on_block_pop(self, strategy, winner, winner == 0, on_private)
+        debug_assert!(self.settled.is_empty());
+        let landing = self.shape.on_block(strategy, winner == 0, on_private);
+        let own = if landing.private {
+            Resolution::Private
+        } else {
+            Resolution::Public
+        };
+        if landing.settled == own && landing.len == 1 {
+            self.private.clear();
+            self.public.clear();
+            return Some(winner);
+        }
+        self.place(winner, landing);
+        self.pop_settled()
     }
 }
 
