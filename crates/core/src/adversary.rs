@@ -723,9 +723,9 @@ pub fn run_fork_game<S: Strategy + ?Sized>(
 /// The loop reads the strategy's γ and grinding tries once per call,
 /// draws an inner [`StepLaw::FixedLottery`] from its own sampler
 /// instead of calling the inner protocol, and keeps a two-miner fork as
-/// lengths and any other as a [`ForkMachine`]. A
-/// segment may end inside a withholding burst; the blocks it settled but
-/// did not pay wait for the next call, as they do between steps.
+/// lengths and any other as a [`ForkMachine`]. A segment may end inside
+/// a withholding burst; the blocks it settled but did not pay wait for
+/// the next call, as they do between steps.
 ///
 /// Because the adapter is a plain [`IncentiveProtocol`], adversarial
 /// configurations flow through `run_ensemble` and the content-addressed
