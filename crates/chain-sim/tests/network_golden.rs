@@ -4,10 +4,12 @@
 //! block's header hash and Merkle root, plus the final supply, clock and
 //! per-miner wins. The digests were recorded before the mempool became a
 //! lazy FIFO and the chain began caching its tip hash; both changes are
-//! bookkeeping and reproduce them. A change that moves a digest changed
-//! which transactions a block includes, what a header commits to, or how
-//! the RNG stream is consumed. Regenerate ONLY for a deliberate change of
-//! the simulation's semantics.
+//! bookkeeping and reproduce them. The rows at 1, 3 and 6 transactions per
+//! block (Merkle trees of 2, 4 and 7 leaves) were recorded before block
+//! bodies were hashed two messages at a time. A change that moves a digest
+//! changed which transactions a block includes, what a header commits to,
+//! or how the RNG stream is consumed. Regenerate ONLY for a deliberate
+//! change of the simulation's semantics.
 
 use chain_sim::{
     run_experiment, target_for_expected_interval, Engine, ExperimentConfig, FslPosEngine,
@@ -76,6 +78,17 @@ const GOLDEN: &[(ProtocolKind, usize, u64, u64)] = &[
     (ProtocolKind::FslPos, 0, 0x5EED_0400, 0x62dfae4130d55f8c),
     (ProtocolKind::FslPos, 2, 0x5EED_0402, 0xb4bf7b77c2e546d9),
     (ProtocolKind::FslPos, 4, 0x5EED_0404, 0x5d0203ba7aac4eca),
+    // Even leaf counts (the coinbase plus 1 or 3 transfers) and a
+    // seven-leaf tree whose levels pair an odd node with itself twice.
+    (ProtocolKind::Pow, 1, 0x5EED_0101, 0xbe8e7e375886bec7),
+    (ProtocolKind::Pow, 3, 0x5EED_0103, 0x162214e04cd58771),
+    (ProtocolKind::Pow, 6, 0x5EED_0106, 0xac2b64d3b068ce6e),
+    (ProtocolKind::MlPos, 1, 0x5EED_0201, 0xa3ad1062946da864),
+    (ProtocolKind::MlPos, 3, 0x5EED_0203, 0x7461c09b31b10e5b),
+    (ProtocolKind::MlPos, 6, 0x5EED_0206, 0x707b1a7420e3fd31),
+    (ProtocolKind::SlPos, 1, 0x5EED_0301, 0xbee51f3b3dca8073),
+    (ProtocolKind::SlPos, 3, 0x5EED_0303, 0x5608e76376cfdfab),
+    (ProtocolKind::SlPos, 6, 0x5EED_0306, 0xebf3c8605fe64c7c),
 ];
 
 #[test]
