@@ -5,6 +5,7 @@
 //! nonce (PoW search variable), proposer, and the difficulty target.
 
 use crate::account::Address;
+use crate::chain::ChainError;
 use crate::hash::{Hash256, HashBuilder};
 use crate::merkle::MerkleTree;
 use crate::transaction::Transaction;
@@ -68,8 +69,7 @@ impl Block {
         proposer: Address,
         transactions: Vec<Transaction>,
     ) -> Self {
-        let leaves: Vec<Hash256> = transactions.iter().map(Transaction::id).collect();
-        let merkle_root = MerkleTree::build(&leaves).root();
+        let merkle_root = merkle_root(&transactions);
         Self {
             header: BlockHeader {
                 height,
@@ -93,8 +93,22 @@ impl Block {
     /// Recomputes the Merkle root from the body and compares with the header.
     #[must_use]
     pub fn merkle_root_valid(&self) -> bool {
-        let leaves: Vec<Hash256> = self.transactions.iter().map(Transaction::id).collect();
-        MerkleTree::build(&leaves).root() == self.header.merkle_root
+        merkle_root(&self.transactions) == self.header.merkle_root
+    }
+
+    /// Checks the body against the header: the Merkle root recomputed
+    /// from the body must match ([`ChainError::BadMerkleRoot`]), then every
+    /// transaction's commitment must hold ([`ChainError::BadTransaction`]).
+    /// Each transaction's payload is hashed once for both checks.
+    pub(crate) fn check_body(&self) -> Result<(), ChainError> {
+        let (ids, authorized) = Transaction::ids_and_authorized(&self.transactions);
+        if MerkleTree::build(&ids).root() != self.header.merkle_root {
+            return Err(ChainError::BadMerkleRoot);
+        }
+        if !authorized {
+            return Err(ChainError::BadTransaction);
+        }
+        Ok(())
     }
 
     /// The coinbase transaction, if present as the first transaction.
@@ -102,6 +116,12 @@ impl Block {
     pub fn coinbase(&self) -> Option<&Transaction> {
         self.transactions.first().filter(|t| t.is_coinbase())
     }
+}
+
+/// The Merkle root over the transactions' ids.
+fn merkle_root(transactions: &[Transaction]) -> Hash256 {
+    let leaves: Vec<Hash256> = Transaction::ids(transactions).collect();
+    MerkleTree::build(&leaves).root()
 }
 
 #[cfg(test)]

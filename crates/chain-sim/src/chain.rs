@@ -158,12 +158,7 @@ impl Chain {
         if block.header.timestamp < tip.header.timestamp {
             return Err(ChainError::BadTimestamp);
         }
-        if !block.merkle_root_valid() {
-            return Err(ChainError::BadMerkleRoot);
-        }
-        if !block.transactions.iter().all(Transactionlike::auth_ok) {
-            return Err(ChainError::BadTransaction);
-        }
+        block.check_body()?;
         if !proof_check(&block) {
             return Err(ChainError::BadProof);
         }
@@ -175,17 +170,6 @@ impl Chain {
     /// Iterates over all blocks from genesis to tip.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
         self.blocks.iter()
-    }
-}
-
-/// Small helper trait so `try_append` reads clearly.
-trait Transactionlike {
-    fn auth_ok(&self) -> bool;
-}
-
-impl Transactionlike for crate::transaction::Transaction {
-    fn auth_ok(&self) -> bool {
-        self.verify_auth()
     }
 }
 
@@ -270,6 +254,46 @@ mod tests {
             chain.try_append(b, |_| true),
             Err(ChainError::BadMerkleRoot)
         );
+    }
+
+    #[test]
+    fn body_checks_fail_the_root_before_a_commitment() {
+        let proposer = Address::for_miner(1);
+        let body = || {
+            vec![
+                Transaction::coinbase(proposer, 50, 1),
+                Transaction::transfer(Address::for_miner(2), Address::for_miner(3), 5, 0, 0),
+                Transaction::transfer(Address::for_miner(3), Address::for_miner(2), 7, 0, 0),
+            ]
+        };
+        let forged = |tx: Transaction| Transaction {
+            auth: Hash256([7u8; 32]),
+            ..tx
+        };
+        let block_of = |txs: Vec<Transaction>| {
+            Block::assemble(1, genesis().hash(), 10, U256::MAX, 0, proposer, txs)
+        };
+        let append = |block: Block| Chain::new(genesis()).try_append(block, |_| true);
+        assert_eq!(append(block_of(body())), Ok(()));
+        // A forged commitment under a root that commits to it.
+        for i in 0..3 {
+            let mut txs = body();
+            txs[i] = forged(txs[i]);
+            assert_eq!(
+                append(block_of(txs)),
+                Err(ChainError::BadTransaction),
+                "forged {i}"
+            );
+        }
+        // A wrong root over honest transactions.
+        let mut wrong_root = block_of(body());
+        wrong_root.header.merkle_root = Hash256([9u8; 32]);
+        assert_eq!(append(wrong_root), Err(ChainError::BadMerkleRoot));
+        // Both: a commitment forged after assembly leaves the root wrong
+        // too, and the root is checked first.
+        let mut both = block_of(body());
+        both.transactions[2] = forged(both.transactions[2]);
+        assert_eq!(append(both), Err(ChainError::BadMerkleRoot));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! fairness (though not robust fairness; see Figure 6a).
 
 use super::{check_inputs, total_stake, BlockLottery, LotteryOutcome, MinerProfile};
-use crate::hash::{Hash256, HashBuilder};
+use crate::hash::{finish_all, Hash256, HashBuilder};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// FSL-PoS engine.
@@ -40,11 +40,12 @@ impl FslPosEngine {
     /// The miner's uniform draw for this block, in `[0, 1)`.
     #[must_use]
     pub fn uniform_draw(prev: &Hash256, pubkey: &Hash256) -> f64 {
-        HashBuilder::new("fslpos-draw")
-            .hash(prev)
-            .hash(pubkey)
-            .finish()
-            .as_unit_f64()
+        Self::draw_hash(prev, pubkey).finish().as_unit_f64()
+    }
+
+    /// The builder of the hash a uniform draw is read from.
+    fn draw_hash(prev: &Hash256, pubkey: &Hash256) -> HashBuilder {
+        HashBuilder::new("fslpos-draw").hash(prev).hash(pubkey)
     }
 
     /// Waiting time `basetime·(−ln(1−u))/stake`.
@@ -77,11 +78,11 @@ impl FslPosEngine {
             "FSL-PoS requires positive total stake"
         );
         let mut best: Option<(f64, usize)> = None;
-        for (mi, miner) in miners.iter().enumerate() {
-            if stakes[mi] == 0 {
-                continue;
-            }
-            let u = Self::uniform_draw(prev, &miner.pubkey);
+        // The staked miners' draws are hashed two at a time, in index order.
+        let staked = || (0..miners.len()).filter(|&mi| stakes[mi] > 0);
+        let draws = finish_all(staked().map(|mi| Self::draw_hash(prev, &miners[mi].pubkey)));
+        for (mi, digest) in staked().zip(draws) {
+            let u = digest.as_unit_f64();
             let t = self.waiting_time(u, stakes[mi]);
             let better = match best {
                 None => true,

@@ -14,7 +14,7 @@
 //! source of SL-PoS's rich-get-richer dynamics (Theorems 3.4, 4.9).
 
 use super::{check_inputs, total_stake, BlockLottery, LotteryOutcome, MinerProfile};
-use crate::hash::{Hash256, HashBuilder};
+use crate::hash::{finish_all, Hash256, HashBuilder};
 use fairness_stats::rng::Xoshiro256StarStar;
 
 /// SL-PoS engine.
@@ -44,10 +44,16 @@ impl SlPosEngine {
     /// The miner's 64-bit hit value for this block.
     #[must_use]
     pub fn hit(prev: &Hash256, pubkey: &Hash256) -> u64 {
-        let digest = HashBuilder::new("slpos-hit")
-            .hash(prev)
-            .hash(pubkey)
-            .finish();
+        Self::hit_of(&Self::hit_hash(prev, pubkey).finish())
+    }
+
+    /// The builder of the hash a hit is read from.
+    fn hit_hash(prev: &Hash256, pubkey: &Hash256) -> HashBuilder {
+        HashBuilder::new("slpos-hit").hash(prev).hash(pubkey)
+    }
+
+    /// The hit in a hit hash: its first 8 bytes, big-endian.
+    fn hit_of(digest: &Hash256) -> u64 {
         u64::from_be_bytes(digest.0[..8].try_into().expect("8 bytes"))
     }
 
@@ -96,11 +102,11 @@ impl SlPosEngine {
             "SL-PoS requires positive total stake"
         );
         let mut best: Option<(u128, u64, usize)> = None;
-        for (mi, miner) in miners.iter().enumerate() {
-            if stakes[mi] == 0 {
-                continue;
-            }
-            let hit = Self::hit(&tips[mi], &miner.pubkey);
+        // The staked miners' hits are hashed two at a time, in index order.
+        let staked = || (0..miners.len()).filter(|&mi| stakes[mi] > 0);
+        let hits = finish_all(staked().map(|mi| Self::hit_hash(&tips[mi], &miners[mi].pubkey)));
+        for (mi, digest) in staked().zip(hits) {
+            let hit = Self::hit_of(&digest);
             let t = self.waiting_time(hit, stakes[mi]);
             // Tie on waiting time broken by the smaller raw hit, then by
             // miner index — fully deterministic like NXT's chain selection.

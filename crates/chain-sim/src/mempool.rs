@@ -3,11 +3,12 @@
 //! Keeps block bodies realistic: the network simulation queues synthetic
 //! user transfers here, proposers take the oldest into blocks, and Merkle
 //! roots therefore commit to non-trivial payloads. Transfers wait
-//! unsigned; [`Mempool::take`] authorizes each one as it leaves the pool,
-//! so a transfer that never reaches a block is never hashed.
+//! unsigned, and [`Mempool::take`] hands them out unsigned: the proposer
+//! authorizes them together with the block's coinbase, so a transfer that
+//! never reaches a block is never hashed.
 
 use crate::account::Address;
-use crate::transaction::Transaction;
+use crate::transaction::TxKind;
 use std::collections::VecDeque;
 
 /// A queue of unsigned transfers, oldest first. Every transfer pays the
@@ -44,18 +45,24 @@ impl Mempool {
         self.pending.push_back((from, to, amount, nonce));
     }
 
-    /// Removes up to `max` of the oldest transfers, authorizing each one
-    /// with [`Transaction::transfer`].
-    pub fn take(&mut self, max: usize) -> impl Iterator<Item = Transaction> + '_ {
+    /// Removes up to `max` of the oldest transfers, as unsigned payloads.
+    pub fn take(&mut self, max: usize) -> impl Iterator<Item = TxKind> + '_ {
         self.pending
             .drain(..max.min(self.pending.len()))
-            .map(|(from, to, amount, nonce)| Transaction::transfer(from, to, amount, 0, nonce))
+            .map(|(from, to, amount, nonce)| TxKind::Transfer {
+                from,
+                to,
+                amount,
+                fee: 0,
+                nonce,
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transaction::Transaction;
 
     /// Every transfer pays the zero fee, so the whole pool is one fee
     /// level and leaves in arrival order.
@@ -66,18 +73,19 @@ mod tests {
         pool.push(a, b, 10, 0);
         pool.push(b, a, 20, 0);
         pool.push(a, b, 30, 1);
-        let picked: Vec<Transaction> = pool.take(2).collect();
+        let picked: Vec<TxKind> = pool.take(2).collect();
+        let authorized = Transaction::authorize_all(&picked);
         assert_eq!(
-            picked,
+            authorized,
             vec![
                 Transaction::transfer(a, b, 10, 0, 0),
                 Transaction::transfer(b, a, 20, 0, 0),
             ]
         );
-        assert!(picked.iter().all(Transaction::verify_auth));
+        assert!(authorized.iter().all(Transaction::verify_auth));
         assert_eq!(pool.len(), 1);
         assert_eq!(
-            pool.take(5).collect::<Vec<_>>(),
+            Transaction::authorize_all(&pool.take(5).collect::<Vec<_>>()),
             vec![Transaction::transfer(a, b, 30, 0, 1)]
         );
     }

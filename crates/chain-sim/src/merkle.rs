@@ -5,7 +5,7 @@
 //! The tree follows the Bitcoin convention: an odd node count duplicates the
 //! last node at each level.
 
-use crate::hash::{Hash256, HashBuilder};
+use crate::hash::{finish_all, Hash256, HashBuilder};
 
 /// A Merkle tree built over a list of leaf hashes.
 #[derive(Debug, Clone)]
@@ -25,7 +25,8 @@ pub struct ProofStep {
 
 impl MerkleTree {
     /// Builds a tree from leaf hashes. An empty leaf set hashes to a
-    /// distinguished empty root.
+    /// distinguished empty root. The nodes of a level are independent, so
+    /// they are hashed two at a time.
     #[must_use]
     pub fn build(leaves: &[Hash256]) -> Self {
         if leaves.is_empty() {
@@ -36,12 +37,11 @@ impl MerkleTree {
         let mut levels = vec![leaves.to_vec()];
         while levels.last().expect("non-empty").len() > 1 {
             let prev = levels.last().expect("non-empty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                let left = pair[0];
-                let right = if pair.len() == 2 { pair[1] } else { pair[0] };
-                next.push(Self::combine(&left, &right));
-            }
+            let next = finish_all(prev.chunks(2).map(|pair| {
+                let right = pair.get(1).unwrap_or(&pair[0]);
+                Self::node(&pair[0], right)
+            }))
+            .collect();
             levels.push(next);
         }
         Self { levels }
@@ -108,19 +108,18 @@ impl MerkleTree {
         let mut acc = *leaf;
         for step in proof {
             acc = if step.sibling_is_right {
-                Self::combine(&acc, &step.sibling)
+                Self::node(&acc, &step.sibling)
             } else {
-                Self::combine(&step.sibling, &acc)
-            };
+                Self::node(&step.sibling, &acc)
+            }
+            .finish();
         }
         acc == *root
     }
 
-    fn combine(left: &Hash256, right: &Hash256) -> Hash256 {
-        HashBuilder::new("merkle-node")
-            .hash(left)
-            .hash(right)
-            .finish()
+    /// The builder of an inner node's hash over its two children.
+    fn node(left: &Hash256, right: &Hash256) -> HashBuilder {
+        HashBuilder::new("merkle-node").hash(left).hash(right)
     }
 }
 

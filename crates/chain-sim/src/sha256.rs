@@ -24,6 +24,13 @@
 //! live, and the legacy-SSE encoding of the SHA instructions addresses
 //! only 16 registers.
 //!
+//! A [`Sha256`] holds a short message whole (up to `INLINE_BLOCKS`
+//! blocks, more than any message the simulator hashes in pairs) and
+//! compresses it only when it finishes. So two independent messages can
+//! finish together (`Sha256::finalize_pair`): their padded blocks run
+//! through the two-stream compression, straight from the two buffers, the
+//! first blocks of both together and the longer message's rest alone.
+//!
 //! `Sha256::padded_template` serves the grinding midstates of
 //! [`crate::hash`]: it lays out a message's final block(s) with a hole for
 //! bytes not known yet, so each trial copies the template, fills the hole
@@ -111,11 +118,19 @@ const K: [u32; 64] = [
     0xc671_78f2,
 ];
 
+/// Whole blocks of message a [`Sha256`] buffers before it compresses
+/// any. Every message the simulator finishes in pairs is at most 109
+/// bytes long, so it stays in the buffer until it finishes.
+const INLINE_BLOCKS: usize = 2;
+
 /// Incremental SHA-256 hasher.
 #[derive(Debug, Clone)]
 pub struct Sha256 {
+    /// Chaining state after the blocks compressed so far.
     state: [u32; 8],
-    buffer: [u8; 64],
+    /// The bytes absorbed since then, at most `INLINE_BLOCKS` blocks, and
+    /// one more block for the padding they may need.
+    buffer: [[u8; 64]; INLINE_BLOCKS + 1],
     buffer_len: usize,
     total_len: u64,
 }
@@ -132,80 +147,111 @@ impl Sha256 {
     pub fn new() -> Self {
         Self {
             state: H0,
-            buffer: [0u8; 64],
+            buffer: [[0u8; 64]; INLINE_BLOCKS + 1],
             buffer_len: 0,
             total_len: 0,
         }
     }
 
-    /// Absorbs `data`.
+    /// Absorbs `data`. It is only buffered until the buffer's
+    /// `INLINE_BLOCKS` blocks are full and more data follows; then those
+    /// blocks are compressed.
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self
             .total_len
             .checked_add(data.len() as u64)
             .expect("SHA-256 input exceeds u64 byte count");
-        let mut input = data;
-        // Fill a partial buffer first.
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(input.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
-            self.buffer_len += take;
+        let at = self.buffer_len;
+        let inline = &mut self.buffer.as_flattened_mut()[..64 * INLINE_BLOCKS];
+        if let Some(room) = inline.get_mut(at..at + data.len()) {
+            room.copy_from_slice(data);
+            self.buffer_len = at + data.len();
+        } else {
+            self.spill(data);
+        }
+    }
+
+    /// Absorbs `data` that overflows the inline blocks, compressing them
+    /// each time they are full and more data follows.
+    #[inline(never)]
+    fn spill(&mut self, mut input: &[u8]) {
+        loop {
+            let at = self.buffer_len;
+            let take = (64 * INLINE_BLOCKS - at).min(input.len());
+            self.buffer.as_flattened_mut()[at..at + take].copy_from_slice(&input[..take]);
+            self.buffer_len = at + take;
             input = &input[take..];
-            if self.buffer_len == 64 {
-                compress(&mut self.state, &self.buffer);
-                self.buffer_len = 0;
+            if input.is_empty() {
+                return;
             }
-        }
-        // Whole blocks straight from the input.
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            compress(
-                &mut self.state,
-                block.try_into().expect("split_at(64) yields 64 bytes"),
-            );
-            input = rest;
-        }
-        // Stash the tail.
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+            for block in &self.buffer[..INLINE_BLOCKS] {
+                compress(&mut self.state, block);
+            }
+            self.buffer_len = 0;
         }
     }
 
     /// Finishes and returns the 32-byte digest.
+    #[must_use]
+    #[inline]
+    pub fn finalize(mut self) -> [u8; 32] {
+        let blocks = self.pad();
+        for block in &self.buffer[..blocks] {
+            compress(&mut self.state, block);
+        }
+        digest(&self.state)
+    }
+
+    /// Finishes two messages at once: `[a.finalize(), b.finalize()]`, bit
+    /// for bit. The padded blocks both messages have run as two-stream
+    /// compressions; the longer message's remaining blocks run alone.
+    #[must_use]
+    #[inline]
+    pub(crate) fn finalize_pair(mut a: Self, mut b: Self) -> [[u8; 32]; 2] {
+        let (blocks_a, blocks_b) = (a.pad(), b.pad());
+        let both = blocks_a.min(blocks_b);
+        for (block_a, block_b) in a.buffer[..both].iter().zip(&b.buffer[..both]) {
+            compress_pair([&mut a.state, &mut b.state], [block_a, block_b]);
+        }
+        for block in &a.buffer[both..blocks_a] {
+            compress(&mut a.state, block);
+        }
+        for block in &b.buffer[both..blocks_b] {
+            compress(&mut b.state, block);
+        }
+        [digest(&a.state), digest(&b.state)]
+    }
+
+    /// Pads the buffered bytes in place and returns how many blocks the
+    /// padded remainder of the message takes (the buffer's spare block
+    /// holds any padding the inline blocks leave no room for).
     ///
     /// Padding is written in bulk (one `0x80`, a zero fill, the 64-bit
     /// big-endian bit length) rather than byte-at-a-time: done naively it
     /// costs as much as the compression itself.
-    #[must_use]
-    pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
+    #[inline]
+    fn pad(&mut self) -> usize {
         let n = self.buffer_len;
-        self.buffer[n] = 0x80;
-        if n + 1 > 56 {
-            // No room for the length in this block: pad it out, compress,
-            // and start a fresh all-padding block.
-            self.buffer[n + 1..].fill(0);
-            compress(&mut self.state, &self.buffer);
-            self.buffer.fill(0);
-        } else {
-            self.buffer[n + 1..56].fill(0);
-        }
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &self.buffer);
-        digest(&self.state)
+        let blocks = (n + 9).div_ceil(64);
+        let bit_len = self.total_len.wrapping_mul(8);
+        let bytes = self.buffer.as_flattened_mut();
+        bytes[n] = 0x80;
+        bytes[n + 1..64 * blocks - 8].fill(0);
+        bytes[64 * blocks - 8..64 * blocks].copy_from_slice(&bit_len.to_be_bytes());
+        blocks
     }
 
     /// Lays out the final block(s) of the message continued by `hole`
-    /// bytes not known yet: the buffered tail, `hole` zero bytes, the
-    /// `0x80` terminator, the zero fill and the 64-bit big-endian bit
-    /// length of the continued message.
+    /// bytes not known yet: the message's tail after its last whole block,
+    /// `hole` zero bytes, the `0x80` terminator, the zero fill and the
+    /// 64-bit big-endian bit length of the continued message.
     ///
-    /// Returns the chaining state, the two-block template, how many of
-    /// its blocks are used (1, or 2 when the tail leaves no room for the
-    /// padding) and the hole's offset. Writing the continuation into the
-    /// hole and compressing the used blocks from the state gives the
-    /// digest [`finalize`](Self::finalize) returns after
+    /// Returns the chaining state after the whole blocks, the two-block
+    /// template, how many of its blocks are used (1, or 2 when the tail
+    /// leaves no room for the padding) and the hole's offset. Writing the
+    /// continuation into the hole and compressing the used blocks from the
+    /// state gives the digest [`finalize`](Self::finalize) returns after
     /// `update(continuation)`. This is a second implementation of the
     /// padding on purpose: callers that check a template's output against
     /// `finalize` check the two against each other.
@@ -214,7 +260,13 @@ impl Sha256 {
     /// Panics if the continued tail and its padding do not fit in two
     /// blocks, which takes a `hole` above 56 bytes.
     pub(crate) fn padded_template(&self, hole: usize) -> ([u32; 8], [[u8; 64]; 2], usize, usize) {
-        let n = self.buffer_len;
+        // Compress the buffered whole blocks; the tail starts the template.
+        let whole = self.buffer_len / 64;
+        let mut state = self.state;
+        for block in &self.buffer[..whole] {
+            compress(&mut state, block);
+        }
+        let n = self.buffer_len % 64;
         let terminator = n + hole;
         assert!(
             terminator + 9 <= 128,
@@ -228,10 +280,10 @@ impl Sha256 {
             .wrapping_mul(8);
         let mut template = [[0u8; 64]; 2];
         let bytes = template.as_flattened_mut();
-        bytes[..n].copy_from_slice(&self.buffer[..n]);
+        bytes[..n].copy_from_slice(&self.buffer[whole][..n]);
         bytes[terminator] = 0x80;
         bytes[64 * blocks - 8..64 * blocks].copy_from_slice(&bit_len.to_be_bytes());
-        (self.state, template, blocks, n)
+        (state, template, blocks, n)
     }
 }
 
@@ -594,6 +646,54 @@ mod tests {
             compress(&mut single[0], &a);
             compress(&mut single[1], &b);
             assert_eq!(pair, single, "diverged at block pair {round}");
+        }
+    }
+
+    /// SHA-256 by the book: the whole message padded at once, then its
+    /// blocks compressed with the scalar rounds.
+    fn reference(data: &[u8]) -> [u8; 32] {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in message.chunks_exact(64) {
+            compress_scalar(&mut state, block.try_into().expect("64-byte block"));
+        }
+        digest(&state)
+    }
+
+    #[test]
+    fn every_length_matches_the_reference_alone_and_in_pairs() {
+        // Lengths 0..=320 cover messages of one to six blocks, the inline
+        // buffer's 128 bytes and beyond; the partners pair messages of
+        // equal and of different block counts.
+        let message = |len: usize, salt: u8| -> Vec<u8> {
+            (0..len)
+                .map(|i| (i as u8).wrapping_mul(31) ^ salt)
+                .collect()
+        };
+        for len in 0..=320usize {
+            let data = message(len, 0x5A);
+            let expect = reference(&data);
+            assert_eq!(sha256(&data), expect, "length {len}");
+            for other_len in [len, (len + 64) % 321, (len * 7 + 13) % 321, 320 - len] {
+                let other = message(other_len, 0xC3);
+                let (mut a, mut b) = (Sha256::new(), Sha256::new());
+                a.update(&data);
+                // Fed in 33-byte pieces, so the inline blocks fill and
+                // spill part-way through an update.
+                for piece in other.chunks(33) {
+                    b.update(piece);
+                }
+                assert_eq!(
+                    Sha256::finalize_pair(a, b),
+                    [expect, reference(&other)],
+                    "lengths {len} and {other_len}"
+                );
+            }
         }
     }
 

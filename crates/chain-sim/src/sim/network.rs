@@ -282,12 +282,13 @@ impl NetworkSim {
         self.pump_traffic(rng);
 
         let winner = &self.miners[outcome.winner];
-        let mut txs = vec![Transaction::coinbase(
-            winner.address,
-            self.config.block_reward,
+        let mut body = vec![TxKind::Coinbase {
+            to: winner.address,
+            reward: self.config.block_reward,
             height,
-        )];
-        txs.extend(self.mempool.take(self.config.txs_per_block));
+        }];
+        body.extend(self.mempool.take(self.config.txs_per_block));
+        let txs = Transaction::authorize_all(&body);
 
         let target = match &self.config.engine {
             Engine::Pow(e) => e.target(),

@@ -5,9 +5,15 @@
 //! realistic payloads) and coinbase rewards (the incentive under study). Authorization uses a hash-based
 //! commitment in place of real signatures — signature schemes are outside
 //! the paper's model and irrelevant to incentive dynamics (see DESIGN.md).
+//!
+//! A transaction's hashes form two stages: the payload hash (its canonical
+//! encoding), then the commitment and the id over it. A block's
+//! transactions are independent, so each stage hashes them two at a time
+//! (`finish_all`), and the body check hashes each payload once for both
+//! its id and its commitment.
 
 use crate::account::Address;
-use crate::hash::{Hash256, HashBuilder};
+use crate::hash::{finish_all, Hash256, HashBuilder};
 
 /// Payload of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,36 +51,120 @@ pub struct Transaction {
     pub auth: Hash256,
 }
 
+impl TxKind {
+    /// The builder of the payload's canonical encoding hash.
+    fn encoding(&self) -> HashBuilder {
+        match *self {
+            TxKind::Transfer {
+                from,
+                to,
+                amount,
+                fee,
+                nonce,
+            } => HashBuilder::new("tx-transfer")
+                .bytes(&from.0)
+                .bytes(&to.0)
+                .u64(amount)
+                .u64(fee)
+                .u64(nonce),
+            TxKind::Coinbase { to, reward, height } => HashBuilder::new("tx-coinbase")
+                .bytes(&to.0)
+                .u64(reward)
+                .u64(height),
+        }
+    }
+}
+
+/// The payload hashes of `kinds`, in order, two at a time.
+fn payload_hashes<'a>(
+    kinds: impl IntoIterator<Item = &'a TxKind>,
+) -> impl Iterator<Item = Hash256> {
+    finish_all(kinds.into_iter().map(TxKind::encoding))
+}
+
+/// The commitments over `kinds`' payloads, in order, two at a time.
+fn commitments<'a>(kinds: impl IntoIterator<Item = &'a TxKind>) -> impl Iterator<Item = Hash256> {
+    finish_all(payload_hashes(kinds).map(|payload| commitment(&payload)))
+}
+
+/// The commitment over a payload hash. Stand-in for a signature:
+/// commitment under the sender's (or issuer's) key domain.
+fn commitment(payload: &Hash256) -> HashBuilder {
+    HashBuilder::new("tx-auth").hash(payload)
+}
+
+/// The identifier over a payload hash and its commitment.
+fn id(payload: &Hash256, auth: &Hash256) -> HashBuilder {
+    HashBuilder::new("txid").hash(payload).hash(auth)
+}
+
 impl Transaction {
     /// Creates an authorized transfer.
     #[must_use]
     pub fn transfer(from: Address, to: Address, amount: u64, fee: u64, nonce: u64) -> Self {
-        let kind = TxKind::Transfer {
+        Self::authorized(TxKind::Transfer {
             from,
             to,
             amount,
             fee,
             nonce,
-        };
-        let auth = Self::commitment(&kind);
-        Self { kind, auth }
+        })
     }
 
     /// Creates a coinbase reward transaction.
     #[must_use]
     pub fn coinbase(to: Address, reward: u64, height: u64) -> Self {
-        let kind = TxKind::Coinbase { to, reward, height };
-        let auth = Self::commitment(&kind);
+        Self::authorized(TxKind::Coinbase { to, reward, height })
+    }
+
+    fn authorized(kind: TxKind) -> Self {
+        let auth = commitments([&kind])
+            .next()
+            .expect("one commitment per payload");
         Self { kind, auth }
+    }
+
+    /// Authorizes each payload, in order.
+    pub(crate) fn authorize_all(kinds: &[TxKind]) -> Vec<Self> {
+        commitments(kinds)
+            .zip(kinds)
+            .map(|(auth, &kind)| Self { kind, auth })
+            .collect()
     }
 
     /// The transaction identifier (hash of the canonical encoding).
     #[must_use]
     pub fn id(&self) -> Hash256 {
-        HashBuilder::new("txid")
-            .hash(&self.encode())
-            .hash(&self.auth)
-            .finish()
+        Self::ids(std::slice::from_ref(self))
+            .next()
+            .expect("one id per transaction")
+    }
+
+    /// The identifiers of `txs`, in order.
+    pub(crate) fn ids(txs: &[Self]) -> impl Iterator<Item = Hash256> + '_ {
+        finish_all(
+            payload_hashes(txs.iter().map(|tx| &tx.kind))
+                .zip(txs)
+                .map(|(payload, tx)| id(&payload, &tx.auth)),
+        )
+    }
+
+    /// The identifiers of `txs`, in order, and whether every commitment
+    /// holds. Each payload is hashed once for both.
+    pub(crate) fn ids_and_authorized(txs: &[Self]) -> (Vec<Hash256>, bool) {
+        let payloads: Vec<Hash256> = payload_hashes(txs.iter().map(|tx| &tx.kind)).collect();
+        // All ids first, then all commitments, so that messages of one
+        // length pair up.
+        let mut digests = finish_all(
+            payloads
+                .iter()
+                .zip(txs)
+                .map(|(payload, tx)| id(payload, &tx.auth))
+                .chain(payloads.iter().map(commitment)),
+        );
+        let ids = digests.by_ref().take(txs.len()).collect();
+        let authorized = digests.zip(txs).all(|(auth, tx)| auth == tx.auth);
+        (ids, authorized)
     }
 
     /// Fee offered to the proposer (0 for coinbase).
@@ -95,42 +185,7 @@ impl Transaction {
     /// Verifies the authorization commitment.
     #[must_use]
     pub fn verify_auth(&self) -> bool {
-        self.auth == Self::commitment(&self.kind)
-    }
-
-    /// Canonical encoding hash of the payload.
-    fn encode(&self) -> Hash256 {
-        match self.kind {
-            TxKind::Transfer {
-                from,
-                to,
-                amount,
-                fee,
-                nonce,
-            } => HashBuilder::new("tx-transfer")
-                .bytes(&from.0)
-                .bytes(&to.0)
-                .u64(amount)
-                .u64(fee)
-                .u64(nonce)
-                .finish(),
-            TxKind::Coinbase { to, reward, height } => HashBuilder::new("tx-coinbase")
-                .bytes(&to.0)
-                .u64(reward)
-                .u64(height)
-                .finish(),
-        }
-    }
-
-    fn commitment(kind: &TxKind) -> Hash256 {
-        // Stand-in for a signature: commitment under the sender's (or
-        // issuer's) key domain.
-        let payload = Self {
-            kind: *kind,
-            auth: Hash256::ZERO,
-        }
-        .encode();
-        HashBuilder::new("tx-auth").hash(&payload).finish()
+        commitments([&self.kind]).next() == Some(self.auth)
     }
 }
 
@@ -175,6 +230,54 @@ mod tests {
             Transaction::coinbase(to, 50, 1).id(),
             Transaction::coinbase(to, 50, 2).id()
         );
+    }
+
+    #[test]
+    fn body_hashes_match_each_transaction_alone() {
+        // Bodies of 0 to 7 transactions: the paired ids and the fused
+        // check agree with each transaction's own id and commitment.
+        let (a, b) = (Address::for_miner(0), Address::for_miner(1));
+        let kinds: Vec<TxKind> = std::iter::once(TxKind::Coinbase {
+            to: a,
+            reward: 50,
+            height: 3,
+        })
+        .chain((0..6).map(|nonce| TxKind::Transfer {
+            from: b,
+            to: a,
+            amount: 10 + nonce,
+            fee: 0,
+            nonce,
+        }))
+        .collect();
+        for n in 0..=kinds.len() {
+            let txs = Transaction::authorize_all(&kinds[..n]);
+            let singles: Vec<Transaction> = kinds[..n]
+                .iter()
+                .map(|&kind| match kind {
+                    TxKind::Coinbase { to, reward, height } => {
+                        Transaction::coinbase(to, reward, height)
+                    }
+                    TxKind::Transfer {
+                        from,
+                        to,
+                        amount,
+                        fee,
+                        nonce,
+                    } => Transaction::transfer(from, to, amount, fee, nonce),
+                })
+                .collect();
+            assert_eq!(txs, singles, "{n} transactions");
+            let ids: Vec<Hash256> = txs.iter().map(Transaction::id).collect();
+            assert_eq!(Transaction::ids(&txs).collect::<Vec<_>>(), ids);
+            assert_eq!(Transaction::ids_and_authorized(&txs), (ids, true));
+            for forged in 0..n {
+                let mut txs = txs.clone();
+                txs[forged].auth = Hash256::ZERO;
+                let ids: Vec<Hash256> = txs.iter().map(Transaction::id).collect();
+                assert_eq!(Transaction::ids_and_authorized(&txs), (ids, false));
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,47 @@ proptest! {
         prop_assert_eq!(h.finalize(), sha256(&data));
     }
 
+    #[test]
+    fn builder_pairs_match_single_finishes_and_the_framing(
+        first in prop::collection::vec((0u8..3, any::<u64>(), prop::collection::vec(any::<u8>(), 0..80)), 0..8),
+        second in prop::collection::vec((0u8..3, any::<u64>(), prop::collection::vec(any::<u8>(), 0..80)), 0..8),
+    ) {
+        // Each field is a `u64`, a byte string or a hash (kinds 0, 1, 2).
+        // The builder frames the domain and every field; hashing that
+        // framing in one piece must give the same digest.
+        let build = |fields: &[(u8, u64, Vec<u8>)]| -> (HashBuilder, Vec<u8>) {
+            let mut builder = HashBuilder::new("prop-fields");
+            let mut framed = 11u64.to_le_bytes().to_vec();
+            framed.extend_from_slice(b"prop-fields");
+            for (kind, v, bytes) in fields {
+                match kind {
+                    0 => {
+                        builder = builder.u64(*v);
+                        framed.push(8);
+                        framed.extend_from_slice(&v.to_le_bytes());
+                    }
+                    1 => {
+                        builder = builder.bytes(bytes);
+                        framed.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+                        framed.extend_from_slice(bytes);
+                    }
+                    _ => {
+                        let h = sha256(bytes);
+                        builder = builder.hash(&Hash256(h));
+                        framed.extend_from_slice(&32u64.to_le_bytes());
+                        framed.extend_from_slice(&h);
+                    }
+                }
+            }
+            (builder, framed)
+        };
+        let (a, framed_a) = build(&first);
+        let (b, framed_b) = build(&second);
+        let pair = HashBuilder::finish_pair(a.clone(), b.clone());
+        prop_assert_eq!(pair, [a.finish(), b.finish()]);
+        prop_assert_eq!(pair, [Hash256(sha256(&framed_a)), Hash256(sha256(&framed_b))]);
+    }
+
     // ---------------- U256 ----------------
 
     #[test]
