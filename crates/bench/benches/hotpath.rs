@@ -3,14 +3,16 @@
 //! and for the adversary adapters over PoW and SL-PoS, bare SL-PoS
 //! repetitions stepped eight at a time in vector lanes,
 //! weighted sampling (Fenwick vs linear scan), sha256 nonce grinding
-//! (full rebuild, midstate, and midstate pairs), and the hash-level
-//! overlay's blocks.
+//! (full rebuild, midstate, and midstate pairs), a block's hash
+//! bookkeeping (one builder hash, a pair, a block assembled and appended),
+//! and the hash-level overlay's blocks.
 //!
 //! CI runs these in smoke mode (one pass each) so the benches cannot rot;
 //! locally, `cargo bench --bench hotpath` prints ns/iter per target.
 
 use chain_sim::{
-    run_experiment, ExperimentConfig, Hash256, HashBuilder, HashMidstate, ProtocolKind,
+    run_experiment, Address, Block, Chain, ExperimentConfig, Hash256, HashBuilder, HashMidstate,
+    ProtocolKind, Transaction, U256,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairness_bench::experiments::common::{A_DEFAULT, W_DEFAULT};
@@ -266,6 +268,83 @@ fn bench_grind(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 92-byte message shaped like a transaction id (the domain and two
+/// hashes), the most common message of a block's bookkeeping.
+fn txid_shaped(n: u64) -> HashBuilder {
+    let payload = Hash256([n as u8; 32]);
+    let auth = Hash256([(n >> 8) as u8; 32]);
+    HashBuilder::new("txid").hash(&payload).hash(&auth)
+}
+
+/// A block's hash bookkeeping outside its lottery. `hash/finish` finishes
+/// one txid-shaped builder and `hash/finish-pair` two at once (÷ 2 per
+/// message against `hash/finish`). `block/assemble-append/3` assembles a
+/// block of a coinbase and two transfers (their ids and Merkle root) and
+/// appends it to a chain (the body check and the header hash), as the
+/// overlay does per block, with an accept-all proof check; the chain
+/// restarts from genesis every 64 blocks. Compare each row's ratio to
+/// `step/eos/10` of the same run.
+fn bench_bookkeeping(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hash");
+    group.bench_function("finish", |b| {
+        let mut n = 0u64;
+        b.iter(|| {
+            n = n.wrapping_add(1);
+            black_box(black_box(txid_shaped(n)).finish())
+        });
+    });
+    group.bench_function("finish-pair", |b| {
+        let mut n = 0u64;
+        b.iter(|| {
+            n = n.wrapping_add(2);
+            black_box(HashBuilder::finish_pair(
+                black_box(txid_shaped(n)),
+                black_box(txid_shaped(n + 1)),
+            ))
+        });
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("block");
+    let proposer = Address::for_miner(0);
+    let (from, to) = (Address::for_miner(1000), Address::for_miner(1001));
+    let body = vec![
+        Transaction::coinbase(proposer, 10_000, 1),
+        Transaction::transfer(from, to, 5, 0, 0),
+        Transaction::transfer(to, from, 7, 0, 0),
+    ];
+    let genesis = Chain::new(Block::assemble(
+        0,
+        Hash256::ZERO,
+        0,
+        U256::MAX,
+        0,
+        proposer,
+        vec![],
+    ));
+    let mut chain = genesis.clone();
+    group.bench_function(BenchmarkId::new("assemble-append", body.len()), |b| {
+        b.iter(|| {
+            if chain.len() > 64 {
+                chain = genesis.clone();
+            }
+            let height = chain.height() + 1;
+            let block = Block::assemble(
+                height,
+                chain.tip_hash(),
+                height,
+                U256::MAX,
+                0,
+                proposer,
+                body.clone(),
+            );
+            chain.try_append(block, |_| true).expect("valid block");
+            black_box(chain.tip_hash())
+        });
+    });
+    group.finish();
+}
+
 /// Blocks per overlay iteration.
 const OVERLAY_BLOCKS: u64 = 300;
 
@@ -304,6 +383,7 @@ criterion_group!(
     bench_layers,
     bench_sampling,
     bench_grind,
+    bench_bookkeeping,
     bench_overlay
 );
 criterion_main!(benches);
