@@ -873,6 +873,41 @@ static PROTOCOLS: &[ProtocolEntry] = &[
     },
 ];
 
+/// The deepest fork MDP the `optimal-withholding` and `best-response`
+/// strategies accept, as one literal so that their help text can name it.
+macro_rules! max_fork_depth {
+    () => {
+        64
+    };
+}
+
+/// The deepest fork MDP the `optimal-withholding` and `best-response`
+/// strategies accept. A strategy solves its MDP inside its first
+/// decision, where no cancellation reaches, and the solve grows steeply
+/// with depth: `solve_optimal(0.45, 1.0, d)` took 1.4–2.0 s at d = 64 and
+/// 10.7 s at d = 128 on a 2-vCPU host. Every built-in experiment uses 48
+/// or less, and 64 is `optimal-withholding`'s default.
+pub const MAX_FORK_DEPTH: usize = max_fork_depth!();
+
+/// The help text of the `depth` parameter.
+const DEPTH_DOC: &str = concat!(
+    "fork-MDP truncation depth, integer in [2, ",
+    max_fork_depth!(),
+    "]"
+);
+
+/// Reads the `depth` parameter, refusing one outside `[2, MAX_FORK_DEPTH]`.
+fn fork_depth(args: &Args<'_>) -> Result<u32, RegistryError> {
+    let depth = args.index("depth")?;
+    if !(2..=MAX_FORK_DEPTH).contains(&depth) {
+        return Err(args.bad(
+            "depth",
+            format!("must be in [2, {MAX_FORK_DEPTH}], got {depth}"),
+        ));
+    }
+    Ok(depth as u32)
+}
+
 static STRATEGIES: &[StrategyEntry] = &[
     StrategyEntry {
         name: "honest",
@@ -936,7 +971,7 @@ static STRATEGIES: &[StrategyEntry] = &[
                 "attacker's mining/stake share, in (0, 0.5]",
             ),
             num("gamma", 0.0, "tie-break parameter in [0, 1]"),
-            num("depth", 64.0, "fork-MDP truncation depth, integer in [2, 512]"),
+            num("depth", 64.0, DEPTH_DOC),
         ],
         construct: |args| {
             let alpha = args.number("alpha")?;
@@ -947,14 +982,9 @@ static STRATEGIES: &[StrategyEntry] = &[
             if !(0.0..=1.0).contains(&gamma) {
                 return Err(args.bad("gamma", format!("must be in [0, 1], got {gamma}")));
             }
-            let depth = args.index("depth")?;
-            if !(2..=512).contains(&depth) {
-                return Err(args.bad("depth", format!("must be in [2, 512], got {depth}")));
-            }
+            let depth = fork_depth(args)?;
             Ok(BoxedStrategy::new(OptimalWithholding::new(
-                alpha,
-                gamma,
-                depth as u32,
+                alpha, gamma, depth,
             )))
         },
     },
@@ -973,7 +1003,7 @@ static STRATEGIES: &[StrategyEntry] = &[
                 "the rival attacker's share; alpha + opponent must stay below 1",
             ),
             num("gamma", 0.0, "tie-break parameter in [0, 1]"),
-            num("depth", 48.0, "fork-MDP truncation depth, integer in [2, 512]"),
+            num("depth", 48.0, DEPTH_DOC),
             num("rounds", 12.0, "best-response iteration budget, integer in [1, 64]"),
         ],
         construct: |args| {
@@ -995,10 +1025,7 @@ static STRATEGIES: &[StrategyEntry] = &[
             if !(0.0..=1.0).contains(&gamma) {
                 return Err(args.bad("gamma", format!("must be in [0, 1], got {gamma}")));
             }
-            let depth = args.index("depth")?;
-            if !(2..=512).contains(&depth) {
-                return Err(args.bad("depth", format!("must be in [2, 512], got {depth}")));
-            }
+            let depth = fork_depth(args)?;
             let rounds = args.index("rounds")?;
             if !(1..=64).contains(&rounds) {
                 return Err(args.bad("rounds", format!("must be in [1, 64], got {rounds}")));
@@ -1008,7 +1035,7 @@ static STRATEGIES: &[StrategyEntry] = &[
                 opponent,
                 EquilibriumConfig {
                     gamma,
-                    depth: depth as u32,
+                    depth,
                     max_rounds: rounds as u32,
                 },
             )))
@@ -1302,6 +1329,43 @@ mod tests {
             strategies()[4].signature(),
             "optimal-withholding(alpha, gamma = 0, depth = 64)"
         );
+    }
+
+    /// Both fork-MDP strategies accept `depth` up to `MAX_FORK_DEPTH` (64)
+    /// and refuse 65, and their help text names the cap.
+    #[test]
+    fn fork_depth_is_capped() {
+        assert_eq!(MAX_FORK_DEPTH, 64);
+        let specs = |depth: f64| {
+            [
+                ProtocolSpec::new("optimal-withholding")
+                    .with("alpha", 0.3)
+                    .with("depth", depth),
+                ProtocolSpec::new("best-response")
+                    .with("alpha", 0.3)
+                    .with("opponent", 0.2)
+                    .with("depth", depth),
+            ]
+        };
+        for spec in specs(64.0) {
+            construct_strategy(&spec).expect("depth 64 constructs");
+        }
+        for spec in specs(65.0) {
+            let err = construct_strategy(&spec).expect_err("depth 65 is refused");
+            assert!(
+                err.to_string().contains("must be in [2, 64], got 65"),
+                "{err}"
+            );
+        }
+        for entry in &strategies()[4..] {
+            let depth = entry.params.iter().find(|p| p.key == "depth");
+            assert_eq!(
+                depth.map(|p| p.doc),
+                Some("fork-MDP truncation depth, integer in [2, 64]"),
+                "{}",
+                entry.name
+            );
+        }
     }
 
     /// The new strategies construct through specs and reject out-of-range
