@@ -87,7 +87,9 @@ impl fmt::Display for Hash256 {
 ///
 /// The domain string is length-prefixed and absorbed first, then each field
 /// is absorbed with its length, so `u64(1).u64(2)` can never collide with
-/// `u64(0x0000000100000002)`-style confusions.
+/// `u64(0x0000000100000002)`-style confusions. A `u64` or hash field is
+/// framed on the stack and absorbed in one `update` rather than two: every
+/// block's bookkeeping hashes take this path.
 #[derive(Debug, Clone)]
 pub struct HashBuilder {
     inner: Sha256,
@@ -108,8 +110,9 @@ impl HashBuilder {
     #[must_use]
     #[inline]
     pub fn u64(mut self, v: u64) -> Self {
-        self.inner.update(&[8u8]);
-        self.inner.update(&v.to_le_bytes());
+        let mut field = [8u8; 9];
+        field[1..].copy_from_slice(&v.to_le_bytes());
+        self.inner.update(&field);
         self
     }
 
@@ -125,8 +128,12 @@ impl HashBuilder {
     /// Absorbs another hash.
     #[must_use]
     #[inline]
-    pub fn hash(self, h: &Hash256) -> Self {
-        self.bytes(&h.0)
+    pub fn hash(mut self, h: &Hash256) -> Self {
+        let mut field = [0u8; 40];
+        field[..8].copy_from_slice(&32u64.to_le_bytes());
+        field[8..].copy_from_slice(&h.0);
+        self.inner.update(&field);
+        self
     }
 
     /// Finishes, producing the digest.

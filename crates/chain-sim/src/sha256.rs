@@ -132,7 +132,8 @@ pub struct Sha256 {
     /// one more block for the padding they may need.
     buffer: [[u8; 64]; INLINE_BLOCKS + 1],
     buffer_len: usize,
-    total_len: u64,
+    /// Bytes compressed into `state` so far.
+    compressed: u64,
 }
 
 impl Default for Sha256 {
@@ -149,7 +150,7 @@ impl Sha256 {
             state: H0,
             buffer: [[0u8; 64]; INLINE_BLOCKS + 1],
             buffer_len: 0,
-            total_len: 0,
+            compressed: 0,
         }
     }
 
@@ -158,15 +159,11 @@ impl Sha256 {
     /// blocks are compressed.
     #[inline]
     pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self
-            .total_len
-            .checked_add(data.len() as u64)
-            .expect("SHA-256 input exceeds u64 byte count");
         let at = self.buffer_len;
-        let inline = &mut self.buffer.as_flattened_mut()[..64 * INLINE_BLOCKS];
-        if let Some(room) = inline.get_mut(at..at + data.len()) {
-            room.copy_from_slice(data);
-            self.buffer_len = at + data.len();
+        let end = at + data.len();
+        if end <= 64 * INLINE_BLOCKS {
+            self.buffer.as_flattened_mut()[at..end].copy_from_slice(data);
+            self.buffer_len = end;
         } else {
             self.spill(data);
         }
@@ -174,6 +171,7 @@ impl Sha256 {
 
     /// Absorbs `data` that overflows the inline blocks, compressing them
     /// each time they are full and more data follows.
+    #[cold]
     #[inline(never)]
     fn spill(&mut self, mut input: &[u8]) {
         loop {
@@ -188,6 +186,10 @@ impl Sha256 {
             for block in &self.buffer[..INLINE_BLOCKS] {
                 compress(&mut self.state, block);
             }
+            self.compressed = self
+                .compressed
+                .checked_add(64 * INLINE_BLOCKS as u64)
+                .expect("SHA-256 input exceeds u64 byte count");
             self.buffer_len = 0;
         }
     }
@@ -223,6 +225,14 @@ impl Sha256 {
         [digest(&a.state), digest(&b.state)]
     }
 
+    /// Bytes absorbed so far.
+    #[inline]
+    fn total_len(&self) -> u64 {
+        self.compressed
+            .checked_add(self.buffer_len as u64)
+            .expect("SHA-256 input exceeds u64 byte count")
+    }
+
     /// Pads the buffered bytes in place and returns how many blocks the
     /// padded remainder of the message takes (the buffer's spare block
     /// holds any padding the inline blocks leave no room for).
@@ -234,7 +244,7 @@ impl Sha256 {
     fn pad(&mut self) -> usize {
         let n = self.buffer_len;
         let blocks = (n + 9).div_ceil(64);
-        let bit_len = self.total_len.wrapping_mul(8);
+        let bit_len = self.total_len().wrapping_mul(8);
         let bytes = self.buffer.as_flattened_mut();
         bytes[n] = 0x80;
         bytes[n + 1..64 * blocks - 8].fill(0);
@@ -274,7 +284,7 @@ impl Sha256 {
         );
         let blocks = if terminator + 9 <= 64 { 1 } else { 2 };
         let bit_len = self
-            .total_len
+            .total_len()
             .checked_add(hole as u64)
             .expect("SHA-256 input exceeds u64 byte count")
             .wrapping_mul(8);
